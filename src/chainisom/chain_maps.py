@@ -37,7 +37,7 @@ class PartialInjection:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        if type(self.n) is not int or self.n < 0:
             raise OutOfRange(f"chain size must be a non-negative integer, got {self.n!r}")
         pairs = tuple(sorted((int(x), int(y)) for x, y in self.pairs))
         for x, y in pairs:

@@ -27,6 +27,7 @@ from .errors import ChainIsomError
 from .greens_structure import (
     build_family_table,
     build_rees_quotient,
+    build_table,
     element_text,
     greens_classes_criterion,
     greens_classes_oracle,
@@ -197,7 +198,7 @@ def _check_greens(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
             elements = list(enumerate_fast(n, fam))
-            table = build_family_table(n, fam)
+            table = build_table(elements)
             for rel in RELATIONS:
                 same = (
                     greens_classes_criterion(elements, fam, rel).partition

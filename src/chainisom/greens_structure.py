@@ -226,16 +226,54 @@ class SemigroupTable:
         return self.mult[i][j]
 
     def is_associative(self) -> bool:
-        """Exhaustive check, cached; k^3 steps on first use."""
+        """Light's associativity test, cached; |A|*k^2 steps on first use.
+
+        Checks (x g) y = x (g y) for every g in the generating set A of
+        :meth:`generators` and all x, y.  The elements a satisfying
+        (x a) y = x (a y) for all x, y are closed under products, so once
+        they include a generating set they are the whole table: the test
+        is exact on any magma, corrupted tables included (Clifford and
+        Preston, *The Algebraic Theory of Semigroups* I, section 1.2).
+        """
         if self._associative is None:
             self._associative = self._check_associative()
         return self._associative
 
+    def generators(self) -> tuple[int, ...]:
+        """A generating set of indices, found greedily from the table alone.
+
+        Indices are scanned from the last down; each one not yet reached
+        becomes a generator, and the reached set is grown by multiplying
+        reached elements by generators until it stops growing.  Right
+        multiplication alone suffices, since every product of generators
+        is a generator followed by further generators one at a time.
+        """
+        mult = self.mult
+        reached = [False] * len(mult)
+        reached_list: list[int] = []
+        gens: list[int] = []
+        for g in range(len(mult) - 1, -1, -1):
+            if reached[g]:
+                continue
+            gens.append(g)
+            # products ending in g of everything reached so far, then g itself
+            frontier = [g] + [mult[r][g] for r in reached_list]
+            while frontier:
+                x = frontier.pop()
+                if reached[x]:
+                    continue
+                reached[x] = True
+                reached_list.append(x)
+                row = mult[x]
+                frontier.extend(row[h] for h in gens if not reached[row[h]])
+        return tuple(gens)
+
     def _check_associative(self) -> bool:
         mult = self.mult
-        for row_a in mult:
-            for b, row_b in enumerate(mult):
-                if mult[row_a[b]] != tuple(map(row_a.__getitem__, row_b)):
+        for g in self.generators():
+            row_g = mult[g]
+            for row_x in mult:
+                if mult[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
                     return False
         return True
 
@@ -251,17 +289,18 @@ def build_table(elements, adjoin_identity: bool = False) -> SemigroupTable:
         raise LimitExceeded(
             f"table over {len(elements)} elements exceeds the cap {TABLE_ELEMENT_CAP}"
         )
-    index = {el: i for i, el in enumerate(elements)}
-    if len(index) != len(elements):
-        raise DomainError("duplicate elements")
     if elements and any(el.n != elements[0].n for el in elements):
         raise MismatchedChain("all elements must live on the same chain")
+    # One chain throughout, so the pair tuple alone identifies an element.
+    index = {el.pairs: i for i, el in enumerate(elements)}
+    if len(index) != len(elements):
+        raise DomainError("duplicate elements")
     mult = []
     for a in elements:
         row = []
         for b in elements:
             c = compose(a, b)
-            i = index.get(c)
+            i = index.get(c.pairs)
             if i is None:
                 raise NotClosed(
                     f"product {element_text(a)} * {element_text(b)} = "
@@ -270,7 +309,7 @@ def build_table(elements, adjoin_identity: bool = False) -> SemigroupTable:
                 )
             row.append(i)
         mult.append(row)
-    zero_index = index.get(PartialInjection(elements[0].n, ())) if elements else None
+    zero_index = index.get(())
     if adjoin_identity:
         one = len(elements)
         for i, row in enumerate(mult):
@@ -338,12 +377,11 @@ def greens_classes_oracle(table: SemigroupTable, relation: str) -> GreensClasses
     left = _principal_left_sets(table)
     if rel == "H":
         return GreensClasses(rel, _partition_from_keys(list(zip(right, left))))
-    # D as the composite of R and L.  The two compositions agree (checked),
-    # so grouping jointly by reachable (R-class, L-class) pairs partitions
+    # D as the composite of R and L.  The two compositions agree in every
+    # semigroup, which the associativity guard above established, so
+    # grouping jointly by reachable (R-class, L-class) pairs partitions
     # correctly: two elements are D-related when some element shares its
     # R-class with one and its L-class with the other.
-    if not d_compositions_commute(table):
-        raise NotAssociative("R and L do not compose symmetrically")
     r_id = _class_ids(right)
     l_id = _class_ids(left)
     parent = list(range(len(table)))
@@ -486,14 +524,14 @@ def build_rees_quotient(
         raise LimitExceeded(
             f"quotient with {len(layer) + 1} elements exceeds the cap {TABLE_ELEMENT_CAP}"
         )
-    index = {el: i + 1 for i, el in enumerate(layer)}
+    index = {el.pairs: i + 1 for i, el in enumerate(layer)}
     k = len(layer) + 1
     mult = [[0] * k]
     for a in layer:
         row = [0]
         for b in layer:
             c = compose(a, b)
-            row.append(index[c] if c.height == p else 0)
+            row.append(index[c.pairs] if c.height == p else 0)
         mult.append(row)
     table = SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
     return ReesQuotient(n, p, table)

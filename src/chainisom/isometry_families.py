@@ -57,7 +57,8 @@ def enumerate_fast(
 ) -> Iterator[PartialInjection]:
     """Stream the family on the chain of size ``n``, each element once.
 
-    ``height`` restricts the stream to one image size.  ``cap`` guards
+    ``height`` restricts the stream to one image size, which must lie in
+    0..n (:class:`DomainError` otherwise).  ``cap`` guards
     against runaway enumerations (the family grows like 3 * 2^n); pass a
     larger value explicitly to go beyond the default.
     """
@@ -65,14 +66,14 @@ def enumerate_fast(
         raise DomainError(f"chain size must be non-negative, got {n}")
     if n > cap:
         raise LimitExceeded(f"enumeration at n={n} exceeds the cap {cap}")
+    if height is not None and not 0 <= height <= n:
+        raise DomainError(f"need 0 <= height <= n, got height={height}, n={n}")
     return _generate(n, family, height)
 
 
 def _generate(n, family, height):
     heights = range(n + 1) if height is None else [height]
     for h in heights:
-        if h < 0 or h > n:
-            continue
         if h == 0:
             yield PartialInjection(n, ())
             continue

@@ -75,6 +75,13 @@ class TestConstruction:
         with pytest.raises(OutOfRange):
             PartialInjection(-1)
 
+    def test_bool_chain_size_rejected(self):
+        # bool is an int subclass; True would otherwise pass for n = 1
+        with pytest.raises(OutOfRange):
+            PartialInjection(True, ())
+        with pytest.raises(OutOfRange):
+            PartialInjection(False)
+
     def test_normalisation_sorts_by_domain(self):
         assert PartialInjection(4, [(3, 1), (1, 3)]).pairs == ((1, 3), (3, 1))
 

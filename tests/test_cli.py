@@ -49,6 +49,12 @@ class TestEnumerate:
                       "--cap", "3")
         assert code == 2
 
+    def test_height_out_of_range_exits_2(self, capsys):
+        code, out = run(capsys, "enumerate", "--n", "3", "--family", "odp",
+                        "--height", "99")
+        assert code == 2
+        assert out == ""
+
     def test_usage_error_exits_2(self, capsys):
         assert run(capsys, "enumerate", "--n", "2", "--family", "xy")[0] == 2
         assert run(capsys, "enumerate")[0] == 2

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chainisom import (
@@ -36,9 +38,13 @@ from chainisom import (
     witness_to_json,
 )
 from chainisom.greens_structure import RELATIONS, d_compositions_commute
-from helpers import elements, table
+from helpers import associative_exhaustive, elements, rees_table, table
 
 BOTH = (Family.DP, Family.ODP)
+
+
+def rees_tables(max_n):
+    return [rees_table(n, p) for n in range(1, max_n + 1) for p in range(1, n + 1)]
 
 
 class TestPreorders:
@@ -159,6 +165,8 @@ class TestOracleAgreement:
         for n in range(6):
             for fam in BOTH:
                 assert d_compositions_commute(table(n, fam))
+        for tab in rees_tables(6):
+            assert d_compositions_commute(tab)
 
     def test_d_equals_j(self):
         # J via principal two-sided ideals, computed here independently
@@ -189,6 +197,47 @@ class TestOracleAgreement:
         assert not bad.is_associative()
         with pytest.raises(NotAssociative):
             greens_classes_oracle(bad, "R")
+
+
+class TestLightAssociativity:
+    def test_generators_reach_every_index(self):
+        for tab in [table(n, fam) for n in range(7) for fam in BOTH] + rees_tables(6):
+            gens = tab.generators()
+            reached = set(gens)
+            frontier = list(gens)
+            while frontier:
+                x = frontier.pop()
+                for g in gens:
+                    for y in (tab.mult[x][g], tab.mult[g][x]):
+                        if y not in reached:
+                            reached.add(y)
+                            frontier.append(y)
+            assert reached == set(range(len(tab)))
+
+    def test_generators_much_smaller_than_table(self):
+        assert len(table(6, Family.DP).generators()) < 10
+        assert len(table(6, Family.ODP).generators()) < 10
+        assert table(0, Family.DP).generators() == (0,)
+        assert SemigroupTable((), ()).generators() == ()
+
+    def test_single_cell_mutations_agree_with_exhaustive_scan(self):
+        rng = random.Random(20110101)
+        verdicts = set()
+        for tab in [table(n, fam) for n in range(5) for fam in BOTH] + rees_tables(5):
+            assert tab.is_associative() and associative_exhaustive(tab)
+            k = len(tab)
+            if k < 2:
+                continue
+            for _ in range(20):
+                mult = [list(row) for row in tab.mult]
+                i, j = rng.randrange(k), rng.randrange(k)
+                mult[i][j] = rng.choice([v for v in range(k) if v != mult[i][j]])
+                bad = SemigroupTable(tab.elements, mult)
+                want = associative_exhaustive(bad)
+                assert bad.is_associative() == want, (k, i, j, mult[i][j])
+                verdicts.add(want)
+        # the mutations exercise both verdicts, so neither side is vacuous
+        assert verdicts == {True, False}
 
 
 class TestBuildTable:

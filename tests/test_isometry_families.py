@@ -58,7 +58,10 @@ class TestFastEnumeration:
     def test_height_filter(self):
         assert len(list(enumerate_fast(3, Family.ODP, height=2))) == 5
         assert list(enumerate_fast(3, Family.ODP, height=0)) == [PartialInjection(3)]
-        assert list(enumerate_fast(3, Family.ODP, height=9)) == []
+        with pytest.raises(DomainError):
+            enumerate_fast(3, Family.ODP, height=9)
+        with pytest.raises(DomainError):
+            enumerate_fast(3, Family.DP, height=-1)
 
     def test_chain_of_size_zero(self):
         assert list(enumerate_fast(0, Family.ODP)) == [PartialInjection(0)]
