@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -252,3 +253,49 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# stdout sha256 and exit code of fixed invocations, recorded before the
+# verification checks moved into ``chainisom.checks``; any byte of output
+# that changes fails here.  The eunitary and categorical ranges include
+# instances that carry witnesses.
+GOLDEN = [
+    ("verify --check closure --n-range 0..3 --format text", 0, "46f7f59610622b2252e6721997bd435dbbba4dbf8d9803ed187a420fa8487fb7"),
+    ("verify --check closure --n-range 0..3 --format json", 0, "c7ef671d91c5dc30af10c648f3703314d38358c7cffcf92120f29076852a3347"),
+    ("verify --check fix-trichotomy --n-range 0..5 --format text", 0, "685fcca455878860cb8066473c2a433802617db678083a0f162dd7d05d64ef37"),
+    ("verify --check fix-trichotomy --n-range 0..5 --format json", 0, "29bbe1bae880d92387ceb9d106606e82c39db62b180798b6065152f9318eda6d"),
+    ("verify --check dichotomy --n-range 0..5 --format text", 0, "99d7ec8c94f3f3f61aeaae4568a90892b28b4b03f97f6812cd10725e84646c94"),
+    ("verify --check dichotomy --n-range 0..5 --format json", 0, "077fd2e67b6b4c9c8e7e5fa5bd82682248db06c76eb5c433b595c2f3c2802a59"),
+    ("verify --check oracle-equivalence --n-range 0..4 --format text", 0, "a13987326613d0ecc94d4e6011a66387febae5ee7d353c721a374793b722afb9"),
+    ("verify --check oracle-equivalence --n-range 0..4 --format json", 0, "fdab1d6e57696f3f6cfe5b4c126fda8d9bc5c473437fdd711b2dfab50d426df2"),
+    ("verify --check formulas --n-range 0..5 --format text", 0, "57571330204ca8fe10b4a8cd9c63aaa207f5c84e6d937fcfd3852480b33947fb"),
+    ("verify --check formulas --n-range 0..5 --format json", 0, "15fa8cd28666fa5827c60c2f8af7e473a00254681b4b7eec61f1fa44befcdcc2"),
+    ("verify --check recurrence --n-range 0..6 --format text", 0, "5c0afa70f5959a104c01a03c467ad246fdfbbb0cc5223dfe98ffa480b36d8dac"),
+    ("verify --check recurrence --n-range 0..6 --format json", 0, "ea7b46775e0ec9e2a6fb605d71cd500f550cec29bbc8f22ab3c4f4740e03f7fc"),
+    ("verify --check sum-identity --n-range 0..8 --format text", 0, "5543e5484f5a73d4a60c9f88f244a170dcc15078c1b2b707f82ea770b4c23ac7"),
+    ("verify --check sum-identity --n-range 0..8 --format json", 0, "8a8b90197a2b445056c1f13a6a1467e7e70df18459e5e65fa6b40e63b1e420a9"),
+    ("verify --check phi-bijection --n-range 0..6 --format text", 0, "93373b66a2d66e9d756dac97c030766055bca45257118fefa13f0877d6cc5419"),
+    ("verify --check phi-bijection --n-range 0..6 --format json", 0, "7854e6507a03e66153a028059f29c8d08560f39c574b3bb3014499a5093d7e1a"),
+    ("verify --check greens --n-range 0..3 --format text", 0, "26f059bcc2187c41fd94314c21b58be4f8791f12a40a8ac6efead6c3e310b0bc"),
+    ("verify --check greens --n-range 0..3 --format json", 0, "b3b6fee2f72111617bc3df17ea86e598c810eb3f9602c9244ad71c530d7adde4"),
+    ("verify --check eunitary --n-range 0..5 --format text", 0, "57592eebb9c874141d5e2578be6a44839c1268cad4396bfea87a51f593575139"),
+    ("verify --check eunitary --n-range 0..5 --format json", 0, "36d627ad0cc5724b20e42050191cc43e5761445d6ed15c14ceecc15c0f51111f"),
+    ("verify --check categorical --n-range 0..4 --format text", 0, "ec3e87af729fb5ed13302ccd7926c0db17b78a42f5190daccd2563aa798ac863"),
+    ("verify --check categorical --n-range 0..4 --format json", 0, "778d7a9fd13a45e3872a25312fb47a53c5a69d3995f297a187ed21f330b9e03f"),
+    ("verify --check rees --n-range 0..4 --format text", 0, "cee9f95cf722b17338b5924ae4c29e3a0952049e5dc2744bb23b8d17c188de9f"),
+    ("verify --check rees --n-range 0..4 --format json", 0, "ded9b0698d5b4eb5df40aaf2af872868449c9a9e83b12219ef84092d102b0df5"),
+    ("verify --check inverse-laws --n-range 0..4 --format text", 0, "75b81361fe8f2fec233971e999eaebc317813e9bcd1d5da2075e0e253e3bd698"),
+    ("verify --check inverse-laws --n-range 0..4 --format json", 0, "b930a67cf22db291b6766f98d0652d4ef12a652921fcfe0a0c0ab1e1b0837fe4"),
+    ("structure --n 3 --family dp --rees-p 2 --format text", 0, "ee1d294f9cc7ecdc24d1da3b06e9a112e84184c5473cf9f04b8fca5a118c3ac3"),
+    ("structure --n 4 --family odp --rees-p 4 --format text", 0, "fc524ed5152700ce5911219d3c21d80392e62051d30a0849cfcb95377ee3f9e7"),
+    ("structure --n 3 --family dp --rees-p 2 --format json", 0, "4950b9df6ded3c25b2a424628f3668356be57c4b49c99ce0d72b57270d45cbfc"),
+    ("structure --n 4 --family odp --rees-p 4 --format json", 0, "c0430f05928d2e5fa39bd653fa879abb5fc2b5e4059c0ded90c375550de47f75"),
+    ("verify --check formulas --n-range 5..1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify --check oracle-equivalence --n-range 9..9", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_output(capsys, argv, code, digest):
+    got_code, out = run(capsys, *argv.split())
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
