@@ -59,7 +59,6 @@ from .errors import (
     OutOfRange,
 )
 from .greens_structure import (
-    ADJOINED_IDENTITY,
     ADJOINED_ZERO,
     GreensClasses,
     ReesQuotient,

@@ -39,7 +39,12 @@ class PartialInjection:
     def __post_init__(self):
         if type(self.n) is not int or self.n < 0:
             raise OutOfRange(f"chain size must be a non-negative integer, got {self.n!r}")
-        pairs = tuple(sorted((int(x), int(y)) for x, y in self.pairs))
+        pairs = [(x, y) for x, y in self.pairs]
+        for x, y in pairs:
+            # exact type: no float truncation, string parsing or bool as 0/1
+            if type(x) is not int or type(y) is not int:
+                raise OutOfRange(f"pair ({x!r}, {y!r}) is not a pair of integers")
+        pairs = tuple(sorted(pairs))
         for x, y in pairs:
             if not (1 <= x <= self.n and 1 <= y <= self.n):
                 raise OutOfRange(f"pair ({x}, {y}) lies outside the chain 1..{self.n}")

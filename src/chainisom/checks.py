@@ -1,0 +1,219 @@
+"""Named verification checks, one per claim about the two families.
+
+Each check is a generator ``check(lo, hi)`` over the chain sizes lo..hi
+that yields one ``(params, ok, witness)`` triple per instance.  ``witness``
+is ``None`` or a JSON-ready certificate; some checks attach one to passing
+instances too, where the expected outcome is itself a violation (dp is not
+0-E-unitary, odp is not categorical).  Adding a check means writing one
+generator and listing it in :data:`CHECKS`.
+
+Layer functions are looked up by module-global name when a check runs, so
+a tool that wraps them by patching module attributes sees every call.
+"""
+
+from __future__ import annotations
+
+from .chain_maps import compose, inverse, is_order_preserving, is_order_reversing, to_json
+from .closed_forms import (
+    f_fix,
+    f_height,
+    phi_bijection_report,
+    recurrence_check,
+    verify_sum_identity,
+)
+from .greens_structure import (
+    RELATIONS,
+    build_family_table,
+    build_rees_quotient,
+    build_table,
+    greens_classes_criterion,
+    greens_classes_oracle,
+    is_categorical,
+    is_inverse,
+    is_zero_e_unitary,
+    replay_witness,
+    witness_to_json,
+)
+from .isometry_families import (
+    Family,
+    count_by_fix,
+    count_by_height,
+    enumerate_fast,
+    enumerate_oracle,
+    is_member,
+)
+
+FAMILIES = (Family.DP, Family.ODP)
+
+
+def _first_failures(families, lo, hi, ok):
+    """Scan each family element by element for the first one failing ``ok``."""
+    for n in range(lo, hi + 1):
+        for fam in families:
+            bad = next((a for a in enumerate_fast(n, fam) if not ok(a)), None)
+            witness = None if bad is None else {"element": to_json(bad)}
+            yield {"n": n, "family": fam.value}, bad is None, witness
+
+
+def _table_witness(table, witness):
+    return None if witness is None else witness_to_json(table, witness)
+
+
+def closure(lo, hi):
+    for n in range(lo, hi + 1):
+        for fam in FAMILIES:
+            elements = list(enumerate_fast(n, fam))
+            bad = next(
+                ((a, b) for a in elements for b in elements
+                 if not is_member(compose(a, b), fam)),
+                None,
+            )
+            witness = (
+                None if bad is None else {"a": to_json(bad[0]), "b": to_json(bad[1])}
+            )
+            yield {"n": n, "family": fam.value}, bad is None, witness
+
+
+def fix_trichotomy(lo, hi):
+    def ok(a):
+        return sum(1 for x, y in a.pairs if x == y) in (0, 1, a.height)
+
+    return _first_failures((Family.DP,), lo, hi, ok)
+
+
+def dichotomy(lo, hi):
+    def ok(a):
+        return is_order_preserving(a) or is_order_reversing(a)
+
+    return _first_failures((Family.DP,), lo, hi, ok)
+
+
+def oracle_equivalence(lo, hi):
+    for n in range(lo, hi + 1):
+        for fam in FAMILIES:
+            same = list(enumerate_fast(n, fam)) == list(enumerate_oracle(n, fam))
+            yield {"n": n, "family": fam.value}, same, None
+
+
+def formulas(lo, hi):
+    for n in range(lo, hi + 1):
+        for fam in FAMILIES:
+            for stat, counter, closed in (
+                ("height", count_by_height, f_height),
+                ("fix", count_by_fix, f_fix),
+            ):
+                empirical = counter(n, fam)
+                formula = [closed(fam, n, k) for k in range(n + 1)]
+                ok = empirical == formula
+                witness = None if ok else {"empirical": empirical, "formula": formula}
+                yield {"n": n, "family": fam.value, "statistic": stat}, ok, witness
+
+
+def recurrence(lo, hi):
+    for n in range(max(lo, 3), hi + 1):
+        for fam in FAMILIES:
+            ok = all(recurrence_check(n, p, fam) for p in range(3, n + 1))
+            yield {"n": n, "family": fam.value}, ok, None
+
+
+def sum_identity(lo, hi):
+    for n in range(max(lo, 2), hi + 1):
+        yield {"n": n}, verify_sum_identity(n), None
+
+
+def phi_bijection(lo, hi):
+    for n in range(max(lo, 3), hi + 1):
+        for p in range(3, n + 1):
+            report = phi_bijection_report(n, p)
+            ok = all(report.values())
+            yield {"n": n, "p": p}, ok, None if ok else report
+
+
+def greens(lo, hi):
+    for n in range(lo, hi + 1):
+        for fam in FAMILIES:
+            elements = list(enumerate_fast(n, fam))
+            table = build_table(elements)
+            for rel in RELATIONS:
+                same = (
+                    greens_classes_criterion(elements, fam, rel).partition
+                    == greens_classes_oracle(table, rel).partition
+                )
+                yield {"n": n, "family": fam.value, "relation": rel}, same, None
+
+
+def eunitary(lo, hi):
+    for n in range(lo, hi + 1):
+        for fam in FAMILIES:
+            table = build_family_table(n, fam)
+            holds, witness = is_zero_e_unitary(table)
+            if fam is Family.ODP or n <= 2:
+                # violations need a reflection about an interior point
+                ok = holds
+            else:
+                ok = not holds and replay_witness(table, witness)
+            yield {"n": n, "family": fam.value}, ok, _table_witness(table, witness)
+
+
+def categorical(lo, hi):
+    for n in range(lo, hi + 1):
+        table = build_family_table(n, Family.ODP)
+        holds, witness = is_categorical(table)
+        # categorical only while no three-factor product can vanish: n <= 1
+        ok = holds if n <= 1 else (not holds and replay_witness(table, witness))
+        yield {"n": n, "semigroup": "odp"}, ok, _table_witness(table, witness)
+        for p in range(1, n + 1):
+            table = build_rees_quotient(n, p).table
+            holds, witness = is_categorical(table)
+            params = {"n": n, "semigroup": "rees", "p": p}
+            yield params, holds, _table_witness(table, witness)
+
+
+def rees(lo, hi):
+    for n in range(max(lo, 1), hi + 1):
+        for p in range(1, n + 1):
+            table = build_rees_quotient(n, p).table
+            ok = (
+                table.is_associative()
+                and is_inverse(table)
+                and is_zero_e_unitary(table)[0]
+                and is_categorical(table)[0]
+            )
+            yield {"n": n, "p": p}, ok, None
+
+
+def inverse_laws(lo, hi):
+    def ok(a):
+        b = inverse(a)
+        return compose(compose(a, b), a) == a and compose(compose(b, a), b) == b
+
+    return _first_failures(FAMILIES, lo, hi, ok)
+
+
+CHECKS = {
+    "closure": closure,
+    "fix-trichotomy": fix_trichotomy,
+    "dichotomy": dichotomy,
+    "oracle-equivalence": oracle_equivalence,
+    "formulas": formulas,
+    "recurrence": recurrence,
+    "sum-identity": sum_identity,
+    "phi-bijection": phi_bijection,
+    "greens": greens,
+    "eunitary": eunitary,
+    "categorical": categorical,
+    "rees": rees,
+    "inverse-laws": inverse_laws,
+}
+
+
+def run_check(name: str, lo: int, hi: int) -> list[dict]:
+    """Run one named check over lo..hi; one ``{"params", "pass"}`` dict per
+    instance, plus ``"witness"`` when the check supplied one."""
+    instances = []
+    for params, ok, witness in CHECKS[name](lo, hi):
+        inst = {"params": params, "pass": ok}
+        if witness is not None:
+            inst["witness"] = witness
+        instances.append(inst)
+    return instances

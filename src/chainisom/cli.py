@@ -12,293 +12,33 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 
-from .chain_maps import compose, inverse, is_order_preserving, is_order_reversing, to_json
-from .closed_forms import (
-    f_fix,
-    f_height,
-    formula_count_table,
-    phi_bijection_report,
-    recurrence_check,
-    verify_sum_identity,
-)
+from .chain_maps import from_json, to_json, to_text
+from .checks import CHECKS, run_check
+from .closed_forms import formula_count_table
 from .errors import ChainIsomError
 from .greens_structure import (
     build_family_table,
     build_rees_quotient,
-    build_table,
-    element_text,
     greens_classes_criterion,
-    greens_classes_oracle,
     idempotents,
     is_categorical,
     is_inverse,
     is_zero_e_unitary,
-    replay_witness,
     witness_to_json,
-    RELATIONS,
 )
 from .isometry_families import (
     DEFAULT_ENUMERATION_CAP,
     Family,
-    count_by_fix,
-    count_by_height,
     empirical_count_table,
     enumerate_fast,
-    enumerate_oracle,
-    is_member,
 )
 
 FORMULA_TABLE_CAP = 60
-FAMILIES = (Family.DP, Family.ODP)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one verification run: per-instance results plus timing."""
-
-    check: str
-    n_range: tuple[int, int]
-    instances: list[dict]
-    passed: bool
-    wall_time_s: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "instances": self.instances,
-            "pass": self.passed,
-        }
-
-
-# ---------------------------------------------------------------------------
-# Verification checks.  Each returns a list of instance dicts
-# {"params": {...}, "pass": bool} plus an optional "witness" entry, which is
-# also populated on expected failures (they are part of the story).
-
-def _element_witness(**named) -> dict:
-    return {key: to_json(a) for key, a in named.items()}
-
-
-def _check_closure(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            elements = list(enumerate_fast(n, fam))
-            bad = None
-            for a in elements:
-                for b in elements:
-                    if not is_member(compose(a, b), fam):
-                        bad = (a, b)
-                        break
-                if bad:
-                    break
-            inst = {"params": {"n": n, "family": fam.value}, "pass": bad is None}
-            if bad:
-                inst["witness"] = _element_witness(a=bad[0], b=bad[1])
-            out.append(inst)
-    return out
-
-
-def _check_fix_trichotomy(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        bad = None
-        for a in enumerate_fast(n, Family.DP):
-            fixes = sum(1 for x, y in a.pairs if x == y)
-            if fixes not in (0, 1, a.height):
-                bad = a
-                break
-        inst = {"params": {"n": n, "family": "dp"}, "pass": bad is None}
-        if bad:
-            inst["witness"] = _element_witness(element=bad)
-        out.append(inst)
-    return out
-
-
-def _check_dichotomy(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        bad = None
-        for a in enumerate_fast(n, Family.DP):
-            if not (is_order_preserving(a) or is_order_reversing(a)):
-                bad = a
-                break
-        inst = {"params": {"n": n, "family": "dp"}, "pass": bad is None}
-        if bad:
-            inst["witness"] = _element_witness(element=bad)
-        out.append(inst)
-    return out
-
-
-def _check_oracle_equivalence(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            same = list(enumerate_fast(n, fam)) == list(enumerate_oracle(n, fam))
-            out.append({"params": {"n": n, "family": fam.value}, "pass": same})
-    return out
-
-
-def _check_formulas(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            for stat, counter, closed in (
-                ("height", count_by_height, f_height),
-                ("fix", count_by_fix, f_fix),
-            ):
-                empirical = counter(n, fam)
-                formula = [closed(fam, n, k) for k in range(n + 1)]
-                inst = {
-                    "params": {"n": n, "family": fam.value, "statistic": stat},
-                    "pass": empirical == formula,
-                }
-                if not inst["pass"]:
-                    inst["witness"] = {"empirical": empirical, "formula": formula}
-                out.append(inst)
-    return out
-
-
-def _check_recurrence(lo, hi):
-    out = []
-    for n in range(max(lo, 3), hi + 1):
-        for fam in FAMILIES:
-            ok = all(recurrence_check(n, p, fam) for p in range(3, n + 1))
-            out.append({"params": {"n": n, "family": fam.value}, "pass": ok})
-    return out
-
-
-def _check_sum_identity(lo, hi):
-    return [
-        {"params": {"n": n}, "pass": verify_sum_identity(n)}
-        for n in range(max(lo, 2), hi + 1)
-    ]
-
-
-def _check_phi_bijection(lo, hi):
-    out = []
-    for n in range(max(lo, 3), hi + 1):
-        for p in range(3, n + 1):
-            report = phi_bijection_report(n, p)
-            inst = {"params": {"n": n, "p": p}, "pass": all(report.values())}
-            if not inst["pass"]:
-                inst["witness"] = report
-            out.append(inst)
-    return out
-
-
-def _check_greens(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            elements = list(enumerate_fast(n, fam))
-            table = build_table(elements)
-            for rel in RELATIONS:
-                same = (
-                    greens_classes_criterion(elements, fam, rel).partition
-                    == greens_classes_oracle(table, rel).partition
-                )
-                out.append(
-                    {
-                        "params": {"n": n, "family": fam.value, "relation": rel},
-                        "pass": same,
-                    }
-                )
-    return out
-
-
-def _check_eunitary(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            table = build_family_table(n, fam)
-            holds, witness = is_zero_e_unitary(table)
-            if fam is Family.ODP or n <= 2:
-                # violations need a reflection about an interior point
-                ok = holds
-            else:
-                ok = not holds and replay_witness(table, witness)
-            inst = {"params": {"n": n, "family": fam.value}, "pass": ok}
-            if witness is not None:
-                inst["witness"] = witness_to_json(table, witness)
-            out.append(inst)
-    return out
-
-
-def _check_categorical(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        table = build_family_table(n, Family.ODP)
-        holds, witness = is_categorical(table)
-        # categorical only while no three-factor product can vanish: n <= 1
-        ok = holds if n <= 1 else (not holds and replay_witness(table, witness))
-        inst = {"params": {"n": n, "semigroup": "odp"}, "pass": ok}
-        if witness is not None:
-            inst["witness"] = witness_to_json(table, witness)
-        out.append(inst)
-        for p in range(1, n + 1):
-            quotient = build_rees_quotient(n, p)
-            holds, witness = is_categorical(quotient.table)
-            inst = {"params": {"n": n, "semigroup": "rees", "p": p}, "pass": holds}
-            if witness is not None:
-                inst["witness"] = witness_to_json(quotient.table, witness)
-            out.append(inst)
-    return out
-
-
-def _check_rees(lo, hi):
-    out = []
-    for n in range(max(lo, 1), hi + 1):
-        for p in range(1, n + 1):
-            table = build_rees_quotient(n, p).table
-            ok = (
-                table.is_associative()
-                and is_inverse(table)
-                and is_zero_e_unitary(table)[0]
-                and is_categorical(table)[0]
-            )
-            out.append({"params": {"n": n, "p": p}, "pass": ok})
-    return out
-
-
-def _check_inverse_laws(lo, hi):
-    out = []
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            bad = None
-            for a in enumerate_fast(n, fam):
-                b = inverse(a)
-                if compose(compose(a, b), a) != a or compose(compose(b, a), b) != b:
-                    bad = a
-                    break
-            inst = {"params": {"n": n, "family": fam.value}, "pass": bad is None}
-            if bad:
-                inst["witness"] = _element_witness(element=bad)
-            out.append(inst)
-    return out
-
-
-CHECKS = {
-    "closure": _check_closure,
-    "fix-trichotomy": _check_fix_trichotomy,
-    "dichotomy": _check_dichotomy,
-    "oracle-equivalence": _check_oracle_equivalence,
-    "formulas": _check_formulas,
-    "recurrence": _check_recurrence,
-    "sum-identity": _check_sum_identity,
-    "phi-bijection": _check_phi_bijection,
-    "greens": _check_greens,
-    "eunitary": _check_eunitary,
-    "categorical": _check_categorical,
-    "rees": _check_rees,
-    "inverse-laws": _check_inverse_laws,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +48,18 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
-def _render_report_text(report: VerificationReport) -> str:
+def _render_report_text(check: str, instances: list[dict], passed: bool) -> str:
     lines = []
-    for inst in report.instances:
+    for inst in instances:
         status = "ok" if inst["pass"] else "FAIL"
         params = " ".join(f"{k}={v}" for k, v in inst["params"].items())
         line = f"{status} {params}"
         if "witness" in inst:
             line += f" witness={_compact(inst['witness'])}"
         lines.append(line)
-    total = len(report.instances)
-    good = sum(1 for inst in report.instances if inst["pass"])
-    lines.append(f"{report.check}: {good}/{total} instances passed")
-    lines.append("PASS" if report.passed else "FAIL")
+    good = sum(1 for inst in instances if inst["pass"])
+    lines.append(f"{check}: {good}/{len(instances)} instances passed")
+    lines.append("PASS" if passed else "FAIL")
     return "\n".join(lines) + "\n"
 
 
@@ -381,14 +120,6 @@ def _structure_summary(table, name: str) -> dict:
     }
 
 
-def _witness_element_text(entry: dict) -> str:
-    if "label" in entry:
-        return entry["label"]
-    xs = " ".join(str(x) for x, _ in entry["map"])
-    ys = " ".join(str(y) for _, y in entry["map"])
-    return f"({xs} / {ys})"
-
-
 def _render_structure_text(summary: dict) -> str:
     lines = [
         summary["semigroup"],
@@ -401,7 +132,8 @@ def _render_structure_text(summary: dict) -> str:
         line = f"{label}: {str(entry['holds']).lower()}"
         if entry["witness"] is not None:
             parts = ", ".join(
-                _witness_element_text(e) for e in entry["witness"]["elements"]
+                e["label"] if "label" in e else to_text(from_json(e))
+                for e in entry["witness"]["elements"]
             )
             line += f"  witness: {parts}"
         lines.append(line)
@@ -442,8 +174,8 @@ def cmd_table(args) -> int:
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split("..") if ".." in text else [text, text]
     try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except (ValueError, IndexError):
+        lo, hi = map(int, parts)  # exactly two parts, both integers
+    except ValueError:
         raise ChainIsomError(f"bad range {text!r}, expected A..B") from None
     if lo < 0 or hi < lo:
         raise ChainIsomError(f"bad range {text!r}, need 0 <= A <= B")
@@ -453,20 +185,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     lo, hi = _parse_range(args.n_range)
     started = time.perf_counter()
-    instances = CHECKS[args.check](lo, hi)
-    report = VerificationReport(
-        check=args.check,
-        n_range=(lo, hi),
-        instances=instances,
-        passed=all(inst["pass"] for inst in instances),
-        wall_time_s=time.perf_counter() - started,
-    )
+    instances = run_check(args.check, lo, hi)
+    passed = all(inst["pass"] for inst in instances)
     if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
+        payload = {"check": args.check, "instances": instances, "pass": passed}
+        print(json.dumps(payload, indent=2))
     else:
-        sys.stdout.write(_render_report_text(report))
-    print(f"# wall time: {report.wall_time_s:.3f}s", file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+        sys.stdout.write(_render_report_text(args.check, instances, passed))
+    print(f"# wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def cmd_greens(args) -> int:

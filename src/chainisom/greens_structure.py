@@ -41,7 +41,7 @@ RELATIONS = ("R", "L", "H", "D")
 
 
 class _SentinelElement:
-    """Opaque table label: the adjoined quotient zero or external identity."""
+    """Opaque table label for the zero adjoined to a Rees quotient."""
 
     __slots__ = ("label",)
 
@@ -53,7 +53,6 @@ class _SentinelElement:
 
 
 ADJOINED_ZERO = _SentinelElement("0")
-ADJOINED_IDENTITY = _SentinelElement("1")
 
 
 def element_text(el) -> str:
@@ -199,15 +198,13 @@ class SemigroupTable:
     """An indexed element list with a dense multiplication table.
 
     ``zero_index`` marks the absorbing element when there is one (the empty
-    map, or an adjoined quotient zero); ``identity_adjoined`` records that
-    a synthetic identity label was appended during construction.
+    map, or an adjoined quotient zero).
     """
 
-    def __init__(self, elements, mult, zero_index=None, identity_adjoined=False):
+    def __init__(self, elements, mult, zero_index=None):
         self.elements = tuple(elements)
         self.mult = tuple(tuple(row) for row in mult)
         self.zero_index = zero_index
-        self.identity_adjoined = identity_adjoined
         k = len(self.elements)
         if len(self.mult) != k or any(len(row) != k for row in self.mult):
             raise DomainError("multiplication table must be square over the elements")
@@ -278,7 +275,7 @@ class SemigroupTable:
         return True
 
 
-def build_table(elements, adjoin_identity: bool = False) -> SemigroupTable:
+def build_table(elements) -> SemigroupTable:
     """Multiply out a composition-closed element set.
 
     Raises :class:`NotClosed` (carrying the offending factor pair) when a
@@ -309,14 +306,7 @@ def build_table(elements, adjoin_identity: bool = False) -> SemigroupTable:
                 )
             row.append(i)
         mult.append(row)
-    zero_index = index.get(())
-    if adjoin_identity:
-        one = len(elements)
-        for i, row in enumerate(mult):
-            row.append(i)
-        mult.append(list(range(one + 1)))
-        elements.append(ADJOINED_IDENTITY)
-    return SemigroupTable(elements, mult, zero_index, adjoin_identity)
+    return SemigroupTable(elements, mult, index.get(()))
 
 
 def build_family_table(
@@ -556,7 +546,6 @@ def table_manifest(table: SemigroupTable) -> dict:
             {"index": i, **element_json(el)} for i, el in enumerate(table.elements)
         ],
         "zero_index": table.zero_index,
-        "identity_adjoined": table.identity_adjoined,
     }
 
 

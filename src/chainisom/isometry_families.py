@@ -156,6 +156,8 @@ class CountTable:
     def __post_init__(self):
         if self.statistic not in ("height", "fix"):
             raise DomainError(f"unknown statistic {self.statistic!r}")
+        if not self.rows:
+            raise DomainError("a count table needs at least the row n = 0")
         if len(self.rows) != len(self.row_sums):
             raise DomainError("rows and row_sums must align")
         for n, row in enumerate(self.rows):

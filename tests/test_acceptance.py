@@ -11,31 +11,19 @@ from contextlib import contextmanager
 
 from chainisom import (
     Family,
-    build_rees_quotient,
-    count_by_fix,
-    count_by_height,
     enumerate_oracle,
     family_order,
-    f_fix,
-    f_height,
     greens_classes_criterion,
-    greens_classes_oracle,
-    is_categorical,
     is_idempotent,
     is_inverse,
     is_order_preserving,
     is_order_reversing,
     is_partial_identity,
-    is_zero_e_unitary,
     order,
-    phi_bijection_report,
-    recurrence_check,
-    replay_witness,
     statistics,
-    verify_sum_identity,
 )
+from chainisom.checks import run_check
 from chainisom.cli import main
-from chainisom.greens_structure import RELATIONS
 
 from helpers import elements, table
 from test_closed_forms import (
@@ -94,42 +82,35 @@ def test_criterion_2_orders():
                 assert oracle_count == family_order(fam, n), (n, fam, "oracle")
 
 
+def all_pass(check, lo, hi, expected_instances):
+    """Run a registered check; fail unless it produced exactly the expected
+    number of instances and every one passed."""
+    instances = run_check(check, lo, hi)
+    assert len(instances) == expected_instances, (check, len(instances))
+    failed = [inst for inst in instances if not inst["pass"]]
+    assert not failed, (check, failed[:1])
+    return instances
+
+
 def test_criterion_3_formula_suite():
     with criterion(3, "formulas vs counts, recurrence, sum identity", 10.0):
-        for n in range(10):
-            for fam in BOTH:
-                assert count_by_height(n, fam) == [
-                    f_height(fam, n, p) for p in range(n + 1)
-                ]
-                assert count_by_fix(n, fam) == [
-                    f_fix(fam, n, m) for m in range(n + 1)
-                ]
-        for n in range(3, 31):
-            for p in range(3, n + 1):
-                for fam in BOTH:
-                    assert recurrence_check(n, p, fam), (n, p, fam)
-        for n in range(2, 31):
-            assert verify_sum_identity(n), n
+        # n = 0..9, both families, height and fix
+        all_pass("formulas", 0, 9, 10 * 2 * 2)
+        # n = 3..30, both families, every p = 3..n
+        all_pass("recurrence", 3, 30, 28 * 2)
+        all_pass("sum-identity", 2, 30, 29)
 
 
 def test_criterion_4_phi_bijection():
     with criterion(4, "height-raising bijection", 10.0):
-        for n in range(3, 9):
-            for p in range(3, n + 1):
-                report = phi_bijection_report(n, p)
-                assert all(report.values()), (n, p, report)
+        # every p = 3..n for n = 3..8
+        all_pass("phi-bijection", 3, 8, sum(n - 2 for n in range(3, 9)))
 
 
 def test_criterion_5_greens():
     with criterion(5, "Green's relations, criterion vs oracle", 60.0):
-        for n in range(6):
-            for fam in BOTH:
-                els = list(elements(n, fam))
-                tab = table(n, fam)
-                for rel in RELATIONS:
-                    crit = greens_classes_criterion(els, fam, rel)
-                    orac = greens_classes_oracle(tab, rel)
-                    assert crit.partition == orac.partition, (n, fam, rel)
+        # n = 0..5, both families, R L H D
+        all_pass("greens", 0, 5, 6 * 2 * 4)
         for n in range(7):
             odp_h = greens_classes_criterion(
                 list(elements(n, Family.ODP)), Family.ODP, "H"
@@ -146,22 +127,16 @@ def test_criterion_6_structure():
         for n in range(6):
             for fam in BOTH:
                 assert is_inverse(table(n, fam)), (n, fam)
-        for n in range(3, 7):
-            odp_table = table(n, Family.ODP)
-            holds, witness = is_zero_e_unitary(odp_table)
-            assert holds and witness is None, n
-
-            dp_table = table(n, Family.DP)
-            holds, witness = is_zero_e_unitary(dp_table)
-            assert not holds and replay_witness(dp_table, witness), n
-
-            holds, witness = is_categorical(odp_table)
-            assert not holds and replay_witness(odp_table, witness), n
-
-            for p in range(1, n + 1):
-                quotient = build_rees_quotient(n, p).table
-                assert is_zero_e_unitary(quotient) == (True, None), (n, p)
-                assert is_categorical(quotient) == (True, None), (n, p)
+        # odp is 0-E-unitary; dp is not, with a witness that replays
+        for inst in all_pass("eunitary", 3, 6, 4 * 2):
+            assert ("witness" in inst) == (inst["params"]["family"] == "dp"), inst
+        # odp is not categorical (replayed witness); every Q(n, p) is
+        instances = all_pass("categorical", 3, 6, sum(n + 1 for n in range(3, 7)))
+        for inst in instances:
+            odp = inst["params"]["semigroup"] == "odp"
+            assert ("witness" in inst) == odp, inst
+        # every Q(n, p) is associative, inverse, 0-E-unitary and categorical
+        all_pass("rees", 3, 6, sum(range(3, 7)))
 
 
 def test_criterion_7_cycle_structure():

@@ -74,6 +74,13 @@ class TestConstruction:
             make_partial_injection(3, [(1, 4)])
         with pytest.raises(OutOfRange):
             PartialInjection(-1)
+        # points must be ints: no silent truncation or coercion
+        with pytest.raises(OutOfRange):
+            PartialInjection(3, [(1.7, 2.9)])
+        with pytest.raises(OutOfRange):
+            PartialInjection(3, [("2", True)])
+        with pytest.raises(OutOfRange):
+            PartialInjection(3, [(1, 2), ("a", 1)])
 
     def test_bool_chain_size_rejected(self):
         # bool is an int subclass; True would otherwise pass for n = 1

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from chainisom import cli
+from chainisom import checks
 from chainisom.cli import main
 
 from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
@@ -105,6 +105,10 @@ class TestTable:
                    "--max-n", "61")[0] == 2
         assert run(capsys, "table", "--family", "dp", "--by", "fix",
                    "--max-n", "21", "--empirical")[0] == 2
+        assert run(capsys, "table", "--family", "dp", "--by", "fix",
+                   "--max-n", "-1")[0] == 2
+        assert run(capsys, "table", "--family", "dp", "--by", "fix",
+                   "--max-n", "-1", "--empirical")[0] == 2
 
 
 class TestVerify:
@@ -151,6 +155,8 @@ class TestVerify:
                    "--n-range", "5..1")[0] == 2
         assert run(capsys, "verify", "--check", "formulas",
                    "--n-range", "x..y")[0] == 2
+        assert run(capsys, "verify", "--check", "formulas",
+                   "--n-range", "3..4..9")[0] == 2
 
     def test_cap_violation_exits_2(self, capsys):
         assert run(capsys, "verify", "--check", "oracle-equivalence",
@@ -159,14 +165,15 @@ class TestVerify:
     def test_violation_exits_1(self, capsys):
         # exit code 1 is reserved for genuine property violations; none of
         # the shipped checks fail, so splice in one that does
-        cli.CHECKS["always-fails"] = lambda lo, hi: [
-            {"params": {"n": lo}, "pass": False, "witness": {"note": "forced"}}
-        ]
+        def always_fails(lo, hi):
+            yield {"n": lo}, False, {"note": "forced"}
+
+        checks.CHECKS["always-fails"] = always_fails
         try:
             code, out = run(capsys, "verify", "--check", "always-fails",
                             "--n-range", "1..1")
         finally:
-            del cli.CHECKS["always-fails"]
+            del checks.CHECKS["always-fails"]
         assert code == 1
         lines = out.splitlines()
         assert lines[0].startswith("FAIL n=1 witness=")

@@ -279,17 +279,6 @@ class TestBuildTable:
             for fam in BOTH:
                 assert table(n, fam).is_associative()
 
-    def test_adjoined_identity(self):
-        els = list(elements(2, Family.ODP))
-        tab = build_table(els, adjoin_identity=True)
-        assert tab.identity_adjoined
-        one = len(tab) - 1
-        for i in range(len(tab)):
-            assert tab.mult[one][i] == i
-            assert tab.mult[i][one] == i
-        # the original zero is still absorbing
-        assert tab.zero_index == 0
-
     def test_malformed_table_rejected(self):
         with pytest.raises(DomainError):
             SemigroupTable(("x",), ((0, 0),))
@@ -462,7 +451,6 @@ class TestExports:
         q = build_rees_quotient(3, 3)
         manifest = table_manifest(q.table)
         assert manifest["zero_index"] == 0
-        assert manifest["identity_adjoined"] is False
         assert manifest["elements"][0] == {"index": 0, "label": "0"}
         assert manifest["elements"][1] == {
             "index": 1,

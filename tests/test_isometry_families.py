@@ -176,4 +176,6 @@ class TestCountTable:
         with pytest.raises(DomainError):
             CountTable("weight", Family.DP, ((1,),), (1,))
         with pytest.raises(DomainError):
+            CountTable("height", Family.DP, (), ())
+        with pytest.raises(DomainError):
             empirical_count_table("weight", Family.DP, 3)
