@@ -11,6 +11,11 @@ part of the identity: the same pair list on chains of different sizes gives
 unequal values).  The empty map is legal for every n, including n = 0, and
 acts as a multiplicative zero.  All functions here are pure, so everything
 is safe to share across threads.
+
+Every value is validated when it is built, with one exception: ``compose``
+builds its result without re-running the validation, because a composite
+of two valid maps on one chain is already canonical (see ``_composite``).
+Every other constructor, factory and parser validates.
 """
 
 from __future__ import annotations
@@ -134,8 +139,24 @@ def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:
     return PartialInjection(n, tuple((x, x) for x in points))
 
 
+def _composite(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
+    # Builds the value as the frozen dataclass __init__ would, without
+    # __post_init__.  Sound only for the composite of two valid maps on one
+    # chain: a.pairs is sorted by distinct domain points and filtering keeps
+    # that order, and the images lookup[y] are distinct points of 1..n
+    # because the y are distinct and b is injective.
+    value = object.__new__(PartialInjection)
+    object.__setattr__(value, "n", n)
+    object.__setattr__(value, "pairs", pairs)
+    return value
+
+
 def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """Left-to-right composite: x(ab) = (xa)b, defined where both steps are.
+
+    The result is built without re-validation: both factors were validated
+    when they were built, so the composite is already a sorted, injective
+    pair list on the same chain.
 
     >>> a = make_partial_injection(3, [(1, 1), (2, 2)])
     >>> b = make_partial_injection(3, [(2, 2), (3, 1)])
@@ -145,7 +166,7 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     if a.n != b.n:
         raise MismatchedChain(f"cannot compose maps on chains of size {a.n} and {b.n}")
     lookup = dict(b.pairs)
-    return PartialInjection(
+    return _composite(
         a.n, tuple((x, lookup[y]) for x, y in a.pairs if y in lookup)
     )
 

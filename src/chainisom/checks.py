@@ -5,7 +5,9 @@ that yields one ``(params, ok, witness)`` triple per instance.  ``witness``
 is ``None`` or a JSON-ready certificate; some checks attach one to passing
 instances too, where the expected outcome is itself a violation (dp is not
 0-E-unitary, odp is not categorical).  Adding a check means writing one
-generator and listing it in :data:`CHECKS`.
+generator and listing it in :data:`CHECKS`, and in :data:`SMALLEST_N` when
+its first instance lies above n = 0; :func:`run_check` starts the range
+there.
 
 Layer functions are looked up by module-global name when a check runs, so
 a tool that wraps them by patching module attributes sees every call.
@@ -21,6 +23,7 @@ from .closed_forms import (
     recurrence_check,
     verify_sum_identity,
 )
+from .errors import ChainIsomError
 from .greens_structure import (
     RELATIONS,
     build_family_table,
@@ -110,19 +113,19 @@ def formulas(lo, hi):
 
 
 def recurrence(lo, hi):
-    for n in range(max(lo, 3), hi + 1):
+    for n in range(lo, hi + 1):
         for fam in FAMILIES:
             ok = all(recurrence_check(n, p, fam) for p in range(3, n + 1))
             yield {"n": n, "family": fam.value}, ok, None
 
 
 def sum_identity(lo, hi):
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         yield {"n": n}, verify_sum_identity(n), None
 
 
 def phi_bijection(lo, hi):
-    for n in range(max(lo, 3), hi + 1):
+    for n in range(lo, hi + 1):
         for p in range(3, n + 1):
             report = phi_bijection_report(n, p)
             ok = all(report.values())
@@ -170,7 +173,7 @@ def categorical(lo, hi):
 
 
 def rees(lo, hi):
-    for n in range(max(lo, 1), hi + 1):
+    for n in range(lo, hi + 1):
         for p in range(1, n + 1):
             table = build_rees_quotient(n, p).table
             ok = (
@@ -207,11 +210,27 @@ CHECKS = {
 }
 
 
+# Smallest chain size with an instance, for the checks that start above 0:
+# the recurrences and phi need p >= 3, the sum identity n >= 2, and a Rees
+# quotient a height 1 <= p <= n.
+SMALLEST_N = {"recurrence": 3, "sum-identity": 2, "phi-bijection": 3, "rees": 1}
+
+
 def run_check(name: str, lo: int, hi: int) -> list[dict]:
     """Run one named check over lo..hi; one ``{"params", "pass"}`` dict per
-    instance, plus ``"witness"`` when the check supplied one."""
+    instance, plus ``"witness"`` when the check supplied one.
+
+    Sizes below the check's smallest are skipped; a range with no instance
+    left raises :class:`ChainIsomError`, since a check that ran on nothing
+    verified nothing.
+    """
+    smallest = SMALLEST_N.get(name, 0)
+    if hi < smallest:
+        raise ChainIsomError(
+            f"check {name!r} has no instance in {lo}..{hi}; it needs n >= {smallest}"
+        )
     instances = []
-    for params, ok, witness in CHECKS[name](lo, hi):
+    for params, ok, witness in CHECKS[name](max(lo, smallest), hi):
         inst = {"params": params, "pass": ok}
         if witness is not None:
             inst["witness"] = witness

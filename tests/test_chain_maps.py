@@ -288,6 +288,22 @@ class TestRandomised:
         a, b, c = triple
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
+    @given(map_triples())
+    def test_compose_result_is_canonical(self, triple):
+        # compose builds its result without validation; it must equal the
+        # validated value with the same pairs, hash alike, agree with a
+        # plain dict composition, and still refuse factors on two chains
+        a, b, _ = triple
+        c = compose(a, b)
+        rebuilt = PartialInjection(c.n, c.pairs)
+        assert c == rebuilt
+        assert hash(c) == hash(rebuilt)
+        first, then = a.mapping, b.mapping
+        plain = {x: then[y] for x, y in first.items() if y in then}
+        assert c.pairs == tuple(sorted(plain.items()))
+        with pytest.raises(MismatchedChain):
+            compose(a, PartialInjection(b.n + 1, b.pairs))
+
     @given(partial_injections())
     def test_idempotent_iff_partial_identity(self, a):
         assert is_idempotent(a) == is_partial_identity(a)

@@ -157,6 +157,17 @@ class TestVerify:
                    "--n-range", "x..y")[0] == 2
         assert run(capsys, "verify", "--check", "formulas",
                    "--n-range", "3..4..9")[0] == 2
+        # ranges below the check's first instance verify nothing
+        for check, n_range, smallest in (
+            ("recurrence", "0..2", 3),
+            ("phi-bijection", "0..2", 3),
+            ("sum-identity", "0..1", 2),
+            ("rees", "0..0", 1),
+        ):
+            assert main(["verify", "--check", check, "--n-range", n_range]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"needs n >= {smallest}" in captured.err
 
     def test_cap_violation_exits_2(self, capsys):
         assert run(capsys, "verify", "--check", "oracle-equivalence",
@@ -218,9 +229,8 @@ class TestStructure:
         assert "order: 22" in out
         assert "idempotents: 8" in out
         assert "inverse: true" in out
-        assert "0-E-unitary: false  witness: (2 / 2), (1 3 2 / 3 2)" not in out
-        assert "0-E-unitary: false" in out
-        assert "categorical: false" in out
+        assert "0-E-unitary: false  witness: (2 / 2), (1 2 / 3 2)" in out
+        assert "categorical: false  witness: (1 / 1), (1 2 / 1 2), (2 / 1)" in out
 
     def test_rees_block(self, capsys):
         code, out = run(capsys, "structure", "--n", "4", "--family", "odp",

@@ -15,6 +15,7 @@ from chainisom import (
     PartialInjection,
     SemigroupTable,
     Witness,
+    build_family_table,
     build_rees_quotient,
     build_table,
     compose,
@@ -37,6 +38,7 @@ from chainisom import (
     table_to_csv,
     witness_to_json,
 )
+from chainisom import greens_structure
 from chainisom.greens_structure import RELATIONS, d_compositions_commute
 from helpers import associative_exhaustive, elements, rees_table, table
 
@@ -273,6 +275,20 @@ class TestBuildTable:
     def test_zero_marked(self):
         assert table(3, Family.DP).zero_index == 0
         assert table(3, Family.DP).elements[0] == PartialInjection(3)
+
+    def test_one_compose_per_product(self, monkeypatch):
+        # the benchmark's trace predicts build_table.products as k^2 per
+        # table, counting calls to the module-global compose
+        calls = []
+
+        def counting_compose(a, b):
+            calls.append((a, b))
+            return compose(a, b)
+
+        monkeypatch.setattr(greens_structure, "compose", counting_compose)
+        tab = build_family_table(4, Family.DP)
+        assert len(tab) == 59
+        assert len(calls) == len(tab) ** 2
 
     def test_associative(self):
         for n in range(6):
