@@ -272,10 +272,12 @@ class TestDeterminism:
         assert first == second
 
 
-# stdout sha256 and exit code of fixed invocations, recorded before the
-# verification checks moved into ``chainisom.checks``; any byte of output
-# that changes fails here.  The eunitary and categorical ranges include
-# instances that carry witnesses.
+# stdout sha256 and exit code of fixed invocations; any byte of output
+# that changes fails here.  The verify and structure entries were recorded
+# before the verification checks moved into ``chainisom.checks``, the
+# enumerate, empirical table and greens entries before enumeration and
+# ``enumerate`` output stopped re-validating each element.  The eunitary
+# and categorical ranges include instances that carry witnesses.
 GOLDEN = [
     ("verify --check closure --n-range 0..3 --format text", 0, "46f7f59610622b2252e6721997bd435dbbba4dbf8d9803ed187a420fa8487fb7"),
     ("verify --check closure --n-range 0..3 --format json", 0, "c7ef671d91c5dc30af10c648f3703314d38358c7cffcf92120f29076852a3347"),
@@ -307,6 +309,22 @@ GOLDEN = [
     ("structure --n 4 --family odp --rees-p 4 --format text", 0, "fc524ed5152700ce5911219d3c21d80392e62051d30a0849cfcb95377ee3f9e7"),
     ("structure --n 3 --family dp --rees-p 2 --format json", 0, "4950b9df6ded3c25b2a424628f3668356be57c4b49c99ce0d72b57270d45cbfc"),
     ("structure --n 4 --family odp --rees-p 4 --format json", 0, "c0430f05928d2e5fa39bd653fa879abb5fc2b5e4059c0ded90c375550de47f75"),
+    ("enumerate --n 5 --family dp --format text", 0, "1031c15b267e2b029501c8a462c21eae53d349d1e8a737ec75fee894ac0f8332"),
+    ("enumerate --n 5 --family dp --height 3 --format text", 0, "3412e4d57b4981dbc513f96b9e0ddac72acb6c76433362059a46ee7406fe6d9e"),
+    ("enumerate --n 5 --family dp --format jsonl", 0, "aa384f854e19700c90dd60d48061d57546acc82ef088c7856e55480078ce5409"),
+    ("enumerate --n 5 --family dp --height 3 --format jsonl", 0, "9dfa92bc48f67da70281b51ea24c849fad92e9980d68f9b576b1cf4304c8d2a9"),
+    ("enumerate --n 5 --family odp --format text", 0, "a848fbb2d41ebf0b5508077b0920a205dd837ab151a962d56540217c99d6243e"),
+    ("enumerate --n 5 --family odp --height 3 --format text", 0, "74474f804cc7c04ab1e4eac9e6563e35af27e9fc605877894d125ac908a2e924"),
+    ("enumerate --n 5 --family odp --format jsonl", 0, "5fa0a9f7c625ddc78f092d9192694f54265c4958178286637e9db003c89ea1ed"),
+    ("enumerate --n 5 --family odp --height 3 --format jsonl", 0, "c5ede4237679fb8bf7db05f465e1e7f68c2fb2336d065a2282b0d95bab0b221b"),
+    ("table --family dp --by height --max-n 7 --empirical", 0, "73875071cbc54b908beeb9ae32d6777deb69988c2b196af2c6d6ab4ccf62adc0"),
+    ("table --family dp --by fix --max-n 7 --empirical", 0, "f01c8dffd8865e6c17fb74d32dc2036d507bfbe4809bb01b8f00028389be5f5a"),
+    ("table --family odp --by height --max-n 7 --empirical", 0, "1c2d209c527d53c3ad994256f0781738f1507c23f8eda4df4b4af3a7d1f18f0c"),
+    ("table --family odp --by fix --max-n 7 --empirical", 0, "a65c7a634730ec15a043821d346c2329530c1e49c96e54704ddb3885456d5198"),
+    ("greens --n 4 --family dp --classes d --format text", 0, "828b0ae2aa7badf338de25baff772b71cf456bfcf9205412200df2a692965777"),
+    ("greens --n 4 --family dp --classes d --format json", 0, "230c6c92913471caaa843135ec0b89c85c8600eab51ca1a95725b461ca4f4edf"),
+    ("greens --n 4 --family odp --classes d --format text", 0, "20304fc931ff0681979c1607e081cb2c727f59248f9ba675f45e8ee90171ab9d"),
+    ("greens --n 4 --family odp --classes d --format json", 0, "21bbce0590993ee6129523729307cef14b396673f126b0bccc6f6ccbb9ee843a"),
     ("verify --check formulas --n-range 5..1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("verify --check oracle-equivalence --n-range 9..9", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
