@@ -12,10 +12,12 @@ unequal values).  The empty map is legal for every n, including n = 0, and
 acts as a multiplicative zero.  All functions here are pure, so everything
 is safe to share across threads.
 
-Every value is validated when it is built, with one exception: ``compose``
-builds its result without re-running the validation, because a composite
-of two valid maps on one chain is already canonical (see ``_composite``).
-Every other constructor, factory and parser validates.
+Every value is validated when it is built, with two exceptions that build
+through ``_trusted`` without re-running the validation, because their
+values are canonical by construction: ``compose`` (the composite of two
+valid maps on one chain) and ``isometry_families.enumerate_fast`` (a
+translation or reflection restricted to an increasing domain).  Every
+other constructor, factory and parser validates.
 """
 
 from __future__ import annotations
@@ -139,12 +141,17 @@ def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:
     return PartialInjection(n, tuple((x, x) for x in points))
 
 
-def _composite(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
+def _trusted(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
     # Builds the value as the frozen dataclass __init__ would, without
-    # __post_init__.  Sound only for the composite of two valid maps on one
-    # chain: a.pairs is sorted by distinct domain points and filtering keeps
-    # that order, and the images lookup[y] are distinct points of 1..n
-    # because the y are distinct and b is injective.
+    # __post_init__.  Sound only where n is an int >= 0 and pairs is already
+    # a canonical partial injection of the n-chain; there are two callers.
+    # compose: a.pairs is sorted by distinct domain points and filtering
+    # keeps that order, and the images lookup[y] are distinct points of
+    # 1..n because the y are distinct and b is injective.
+    # enumerate_fast: the domain comes from combinations(range(1, n + 1), h),
+    # so it is strictly increasing; a translation x + t with t in
+    # 1 - lo..n - hi and a reflection c - x with c in hi + 1..n + lo keep
+    # every image in 1..n, and both maps are injective.
     value = object.__new__(PartialInjection)
     object.__setattr__(value, "n", n)
     object.__setattr__(value, "pairs", pairs)
@@ -166,7 +173,7 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     if a.n != b.n:
         raise MismatchedChain(f"cannot compose maps on chains of size {a.n} and {b.n}")
     lookup = dict(b.pairs)
-    return _composite(
+    return _trusted(
         a.n, tuple((x, lookup[y]) for x, y in a.pairs if y in lookup)
     )
 

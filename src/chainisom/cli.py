@@ -143,13 +143,18 @@ def _render_structure_text(summary: dict) -> str:
 # ---------------------------------------------------------------------------
 # Commands
 
+def _jsonl(a) -> str:
+    # the bytes of _compact(to_json(a)), without json.dumps
+    pairs = ",".join(f"[{x},{y}]" for x, y in a.pairs)
+    return f'{{"map":[{pairs}],"n":{a.n}}}'
+
+
 def cmd_enumerate(args) -> int:
     fam = Family(args.family)
+    jsonl = args.format == "jsonl"
+    write = sys.stdout.write
     for a in enumerate_fast(args.n, fam, height=args.height, cap=args.cap):
-        if args.format == "jsonl":
-            print(_compact(to_json(a)))
-        else:
-            print(a)
+        write((_jsonl(a) if jsonl else to_text(a)) + "\n")
     return EXIT_OK
 
 

@@ -10,10 +10,14 @@ element sources are provided:
   order-reversing case), so it suffices to walk domain subsets and the
   shifts/centres that keep the image inside the chain.  Height <= 1
   elements are emitted from the translation pass only, since there the two
-  representations produce the same maps.
+  representations produce the same maps.  Each element is canonical by
+  construction, so it is built without re-running the
+  :class:`PartialInjection` validation; besides ``chain_maps.compose``
+  this is the only unvalidated construction site.
 * :func:`enumerate_oracle` generates every partial injection of the chain
-  and filters by membership.  It is deliberately naive; the test suite
-  checks that both sources agree element for element.
+  through the validating constructor and filters by membership.  It is
+  deliberately naive; the ``oracle-equivalence`` check and the test suite
+  assert that both sources agree element for element.
 
 Both return generators and emit elements in canonical order (height, then
 domain, then images in domain order), so counting at the default cap never
@@ -28,7 +32,7 @@ from enum import Enum
 from itertools import combinations, permutations
 from typing import Iterator
 
-from .chain_maps import PartialInjection, is_isometry, is_order_preserving
+from .chain_maps import PartialInjection, _trusted, is_isometry, is_order_preserving
 from .errors import DomainError, LimitExceeded
 
 DEFAULT_ENUMERATION_CAP = 20
@@ -57,11 +61,18 @@ def enumerate_fast(
 ) -> Iterator[PartialInjection]:
     """Stream the family on the chain of size ``n``, each element once.
 
-    ``height`` restricts the stream to one image size, which must lie in
-    0..n (:class:`DomainError` otherwise).  ``cap`` guards
-    against runaway enumerations (the family grows like 3 * 2^n); pass a
-    larger value explicitly to go beyond the default.
+    ``n`` and ``height`` must be of type ``int`` exactly, and ``height``
+    restricts the stream to one image size, which must lie in 0..n
+    (:class:`DomainError` otherwise).  ``cap`` guards against runaway
+    enumerations (the family grows like 3 * 2^n); pass a larger value
+    explicitly to go beyond the default.
     """
+    # exact type, as for PartialInjection's chain size: the elements are
+    # built unvalidated, so a bool or float n would reach them unchecked
+    if type(n) is not int or (height is not None and type(height) is not int):
+        raise DomainError(
+            f"chain size and height must be integers, got n={n!r}, height={height!r}"
+        )
     if n < 0:
         raise DomainError(f"chain size must be non-negative, got {n}")
     if n > cap:
@@ -75,7 +86,7 @@ def _generate(n, family, height):
     heights = range(n + 1) if height is None else [height]
     for h in heights:
         if h == 0:
-            yield PartialInjection(n, ())
+            yield _trusted(n, ())
             continue
         for dom in combinations(range(1, n + 1), h):
             lo, hi = dom[0], dom[-1]
@@ -88,7 +99,7 @@ def _generate(n, family, height):
                 )
             images.sort()
             for img in images:
-                yield PartialInjection(n, tuple(zip(dom, img)))
+                yield _trusted(n, tuple(zip(dom, img)))
 
 
 def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:

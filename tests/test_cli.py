@@ -4,7 +4,9 @@ import json
 import pytest
 
 from chainisom import checks
-from chainisom.cli import main
+from chainisom.chain_maps import _trusted, to_json
+from chainisom.cli import _compact, main
+from chainisom.isometry_families import Family, enumerate_fast
 
 from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
 
@@ -42,6 +44,18 @@ class TestEnumerate:
         rows = [json.loads(line) for line in out.splitlines()]
         assert rows[0] == {"n": 2, "map": []}
         assert rows[-1] == {"n": 2, "map": [[1, 1], [2, 2]]}
+
+    def test_lines_match_element_renderings(self, capsys):
+        # the lines are written directly, not through json.dumps or print
+        for n in range(8):
+            for fam in (Family.DP, Family.ODP):
+                els = list(enumerate_fast(n, fam))
+                _, out = run(capsys, "enumerate", "--n", str(n), "--family",
+                             fam.value, "--format", "jsonl")
+                assert out.splitlines() == [_compact(to_json(a)) for a in els]
+                _, out = run(capsys, "enumerate", "--n", str(n), "--family",
+                             fam.value)
+                assert out.splitlines() == [str(a) for a in els]
 
     def test_cap_violation_exits_2(self, capsys):
         code, _ = run(capsys, "enumerate", "--n", "21", "--family", "dp")
@@ -189,6 +203,48 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0].startswith("FAIL n=1 witness=")
         assert lines[-1] == "FAIL"
+
+
+def _dropped(els):
+    del els[len(els) // 2]
+
+
+def _duplicated(els):
+    els.insert(3, els[3])
+
+
+def _pairs_reversed(els):
+    # an unvalidated value, as enumerate_fast builds them, that no
+    # validated constructor could produce
+    i = next(i for i, a in enumerate(els) if a.height >= 2)
+    els[i] = _trusted(els[i].n, els[i].pairs[::-1])
+
+
+class TestOracleEquivalenceCatchesFastRouteFaults:
+    """oracle-equivalence is the safety net for the unvalidated fast route:
+    a fast stream with one element dropped, duplicated or non-canonical
+    must fail it, through ``run_check`` and through the CLI."""
+
+    @pytest.fixture(params=[_dropped, _duplicated, _pairs_reversed])
+    def corrupted(self, request, monkeypatch):
+        real = checks.enumerate_fast
+
+        def fake(n, family, **kwargs):
+            els = list(real(n, family, **kwargs))
+            request.param(els)
+            return iter(els)
+
+        monkeypatch.setattr(checks, "enumerate_fast", fake)
+
+    def test_run_check_fails(self, corrupted):
+        instances = checks.run_check("oracle-equivalence", 4, 4)
+        assert [inst["pass"] for inst in instances] == [False, False]
+
+    def test_verify_exits_1(self, corrupted, capsys):
+        code, out = run(capsys, "verify", "--check", "oracle-equivalence",
+                        "--n-range", "4..4")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
 
 
 class TestGreens:

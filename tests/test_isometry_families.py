@@ -66,6 +66,30 @@ class TestFastEnumeration:
     def test_chain_of_size_zero(self):
         assert list(enumerate_fast(0, Family.ODP)) == [PartialInjection(0)]
 
+    def test_argument_types(self):
+        # exact ints only, the rule PartialInjection applies to the chain
+        # size; the elements are built unvalidated, so nothing else would
+        with pytest.raises(DomainError):
+            enumerate_fast(2.5, Family.DP)
+        with pytest.raises(DomainError):
+            enumerate_fast(3, Family.DP, height=True)
+        with pytest.raises(DomainError):
+            enumerate_fast(True, Family.DP, height=1)
+        with pytest.raises(DomainError):
+            enumerate_fast(3, Family.ODP, height=2.0)
+
+    def test_elements_are_canonical(self):
+        # each unvalidated element equals, and hashes like, its validated
+        # rebuild, and carries an int chain size (True == 1 would compare
+        # equal, so the type is asserted on its own)
+        for n in range(11):
+            for fam in BOTH:
+                for h in range(n + 1):
+                    for a in enumerate_fast(n, fam, height=h):
+                        assert type(a.n) is int
+                        b = PartialInjection(a.n, a.pairs)
+                        assert a == b and hash(a) == hash(b)
+
     def test_canonical_order(self):
         for fam in BOTH:
             els = list(enumerate_fast(6, fam))
