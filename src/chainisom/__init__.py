@@ -9,27 +9,20 @@ witnesses, all behind a deterministic command-line interface.
 """
 
 from .chain_maps import (
-    GapSignature,
-    MapStatistics,
     PartialInjection,
     compose,
     from_json,
-    from_text,
     gap_signature,
     inverse,
-    is_idempotent,
     is_isometry,
     is_order_preserving,
     is_order_reversing,
-    is_partial_identity,
     make_partial_injection,
     partial_identity,
-    statistics,
     to_json,
     to_text,
 )
 from .closed_forms import (
-    FormulaResult,
     f_fix,
     f_fix_dp,
     f_fix_odp,
@@ -38,7 +31,6 @@ from .closed_forms import (
     f_height_odp,
     family_order,
     formula_count_table,
-    formula_value,
     order_dp,
     order_odp,
     phi_bijection,
@@ -61,26 +53,18 @@ from .errors import (
 from .greens_structure import (
     ADJOINED_ZERO,
     GreensClasses,
-    ReesQuotient,
     SemigroupTable,
     Witness,
     build_family_table,
     build_rees_quotient,
     build_table,
-    d_le,
-    d_related,
     greens_classes_criterion,
     greens_classes_oracle,
-    h_le,
     idempotents,
     is_categorical,
     is_inverse,
     is_zero_e_unitary,
-    l_le,
-    r_le,
     replay_witness,
-    table_manifest,
-    table_to_csv,
     witness_to_json,
 )
 from .isometry_families import (
@@ -92,7 +76,6 @@ from .isometry_families import (
     enumerate_fast,
     enumerate_oracle,
     is_member,
-    order,
 )
 
 __version__ = "0.1.0"

@@ -80,51 +80,8 @@ class PartialInjection:
         """Image points in increasing order (as a set, not in domain order)."""
         return tuple(sorted(y for _, y in self.pairs))
 
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def inverse(self) -> "PartialInjection":
-        return inverse(self)
-
-    def __mul__(self, other: "PartialInjection") -> "PartialInjection":
-        return compose(self, other)
-
     def __str__(self) -> str:
         return to_text(self)
-
-
-@dataclass(frozen=True)
-class MapStatistics:
-    """Size statistics of one map.
-
-    ``height`` is the image size; waists are the extremes of the image and
-    shoulders the extremes of the domain (``None`` exactly when the map is
-    empty); ``fix_set`` collects the fixed points.
-    """
-
-    height: int
-    right_waist: int | None
-    left_waist: int | None
-    right_shoulder: int | None
-    left_shoulder: int | None
-    fix_set: frozenset[int]
-    fix_count: int
-
-
-@dataclass(frozen=True)
-class GapSignature:
-    """Successive differences of a sorted point set.
-
-    Two subsets of the chain have the same signature exactly when one is a
-    translate of the other; reversing the signature corresponds to
-    reflecting the set.
-    """
-
-    diffs: tuple[int, ...] = ()
-
-    def reversed(self) -> "GapSignature":
-        return GapSignature(self.diffs[::-1])
 
 
 def make_partial_injection(n: int, pairs: Iterable) -> PartialInjection:
@@ -187,24 +144,6 @@ def inverse(a: PartialInjection) -> PartialInjection:
     return PartialInjection(a.n, tuple((y, x) for x, y in a.pairs))
 
 
-def statistics(a: PartialInjection) -> MapStatistics:
-    """All size statistics of ``a`` in one pass."""
-    fixed = frozenset(x for x, y in a.pairs if x == y)
-    if a.is_empty:
-        return MapStatistics(0, None, None, None, None, fixed, 0)
-    xs = a.domain
-    ys = a.image
-    return MapStatistics(
-        height=len(a.pairs),
-        right_waist=ys[-1],
-        left_waist=ys[0],
-        right_shoulder=xs[-1],
-        left_shoulder=xs[0],
-        fix_set=fixed,
-        fix_count=len(fixed),
-    )
-
-
 def is_isometry(a: PartialInjection) -> bool:
     """True when the map preserves absolute differences between domain points.
 
@@ -230,23 +169,14 @@ def is_order_reversing(a: PartialInjection) -> bool:
     return all(y1 > y2 for (_, y1), (_, y2) in zip(a.pairs, a.pairs[1:]))
 
 
-def is_partial_identity(a: PartialInjection) -> bool:
-    return all(x == y for x, y in a.pairs)
+def gap_signature(points: Iterable[int]) -> tuple[int, ...]:
+    """Successive differences of a sorted, duplicate-free point sequence.
 
+    Two subsets of the chain have the same signature exactly when one is a
+    translate of the other; reversing the signature corresponds to
+    reflecting the set.
 
-def is_idempotent(a: PartialInjection) -> bool:
-    """True when a * a == a.
-
-    For partial injections this coincides with being a partial identity;
-    the test suite asserts that equivalence exhaustively.
-    """
-    return compose(a, a) == a
-
-
-def gap_signature(points: Iterable[int]) -> GapSignature:
-    """Signature of a sorted, duplicate-free point sequence.
-
-    >>> gap_signature([1, 3, 4]).diffs
+    >>> gap_signature([1, 3, 4])
     (2, 1)
     >>> gap_signature([2, 4, 5]) == gap_signature([1, 3, 4])
     True
@@ -254,12 +184,7 @@ def gap_signature(points: Iterable[int]) -> GapSignature:
     pts = tuple(points)
     if any(p2 <= p1 for p1, p2 in zip(pts, pts[1:])):
         raise ValueError("points must be strictly increasing")
-    return GapSignature(tuple(p2 - p1 for p1, p2 in zip(pts, pts[1:])))
-
-
-def sort_key(a: PartialInjection) -> tuple:
-    """Canonical ordering key: height, then domain, then images in domain order."""
-    return (len(a.pairs), a.domain, tuple(y for _, y in a.pairs))
+    return tuple(p2 - p1 for p1, p2 in zip(pts, pts[1:]))
 
 
 # Serialized forms.  JSON: {"n": 3, "map": [[2, 2], [3, 1]]} with pairs
@@ -278,15 +203,3 @@ def to_text(a: PartialInjection) -> str:
     xs = " ".join(str(x) for x, _ in a.pairs)
     ys = " ".join(str(y) for _, y in a.pairs)
     return f"({xs} / {ys})"
-
-
-def from_text(text: str, n: int) -> PartialInjection:
-    body = text.strip()
-    if not (body.startswith("(") and body.endswith(")")) or "/" not in body:
-        raise ValueError(f"not matrix notation: {text!r}")
-    top, bottom = body[1:-1].split("/", 1)
-    xs = [int(t) for t in top.split()]
-    ys = [int(t) for t in bottom.split()]
-    if len(xs) != len(ys):
-        raise ValueError(f"row lengths differ in {text!r}")
-    return make_partial_injection(n, zip(xs, ys))

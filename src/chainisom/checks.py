@@ -15,6 +15,8 @@ a tool that wraps them by patching module attributes sees every call.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .chain_maps import compose, inverse, is_order_preserving, is_order_reversing, to_json
 from .closed_forms import (
     f_fix,
@@ -91,11 +93,26 @@ def dichotomy(lo, hi):
     return _first_failures((Family.DP,), lo, hi, ok)
 
 
+def _first_difference(fast, oracle):
+    """The first index where two element lists differ, with each side's
+    element (``None`` where that list has ended); ``None`` when equal."""
+    for i, (a, b) in enumerate(zip_longest(fast, oracle)):
+        if a != b:
+            return {
+                "index": i,
+                "fast": None if a is None else to_json(a),
+                "oracle": None if b is None else to_json(b),
+            }
+    return None
+
+
 def oracle_equivalence(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
-            same = list(enumerate_fast(n, fam)) == list(enumerate_oracle(n, fam))
-            yield {"n": n, "family": fam.value}, same, None
+            witness = _first_difference(
+                list(enumerate_fast(n, fam)), list(enumerate_oracle(n, fam))
+            )
+            yield {"n": n, "family": fam.value}, witness is None, witness
 
 
 def formulas(lo, hi):
@@ -135,11 +152,11 @@ def phi_bijection(lo, hi):
 def greens(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
-            elements = list(enumerate_fast(n, fam))
-            table = build_table(elements)
+            # build_table refuses an over-cap family before enumerating it all
+            table = build_table(enumerate_fast(n, fam))
             for rel in RELATIONS:
                 same = (
-                    greens_classes_criterion(elements, fam, rel).partition
+                    greens_classes_criterion(table.elements, fam, rel).partition
                     == greens_classes_oracle(table, rel).partition
                 )
                 yield {"n": n, "family": fam.value, "relation": rel}, same, None
@@ -166,7 +183,7 @@ def categorical(lo, hi):
         ok = holds if n <= 1 else (not holds and replay_witness(table, witness))
         yield {"n": n, "semigroup": "odp"}, ok, _table_witness(table, witness)
         for p in range(1, n + 1):
-            table = build_rees_quotient(n, p).table
+            table = build_rees_quotient(n, p)
             holds, witness = is_categorical(table)
             params = {"n": n, "semigroup": "rees", "p": p}
             yield params, holds, _table_witness(table, witness)
@@ -175,7 +192,7 @@ def categorical(lo, hi):
 def rees(lo, hi):
     for n in range(lo, hi + 1):
         for p in range(1, n + 1):
-            table = build_rees_quotient(n, p).table
+            table = build_rees_quotient(n, p)
             ok = (
                 table.is_associative()
                 and is_inverse(table)

@@ -232,9 +232,7 @@ def cmd_structure(args) -> int:
     summaries = [_structure_summary(table, f"{fam.value} n={args.n}")]
     if args.rees_p is not None:
         quotient = build_rees_quotient(args.n, args.rees_p, cap=args.cap)
-        summaries.append(
-            _structure_summary(quotient.table, f"Q({args.n},{args.rees_p})")
-        )
+        summaries.append(_structure_summary(quotient, f"Q({args.n},{args.rees_p})"))
     if args.format == "json":
         print(json.dumps({"structures": summaries}, indent=2))
     else:

@@ -12,26 +12,11 @@ statistic (height or fix count) equals k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .chain_maps import PartialInjection, inverse, statistics
+from .chain_maps import PartialInjection, inverse
 from .errors import DomainError
-from .isometry_families import (
-    DEFAULT_ENUMERATION_CAP,
-    CountTable,
-    Family,
-    enumerate_fast,
-    is_member,
-)
-
-
-@dataclass(frozen=True)
-class FormulaResult:
-    """An exact value together with the closed-form branch that produced it."""
-
-    value: int
-    provenance: str
+from .isometry_families import CountTable, Family, enumerate_fast, is_member
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -135,29 +120,6 @@ def family_order(family: Family, n: int) -> int:
     return order_dp(n) if family is Family.DP else order_odp(n)
 
 
-def formula_value(family: Family, statistic: str, n: int, k: int) -> FormulaResult:
-    """Evaluate one table cell and report which branch fired."""
-    if statistic == "height":
-        value = f_height(family, n, k)
-        if k == 0:
-            branch = "empty-map"
-        elif k == 1 and family is Family.DP:
-            branch = "squares"
-        else:
-            branch = "binomial"
-    elif statistic == "fix":
-        value = f_fix(family, n, k)
-        if family is Family.ODP:
-            branch = "binomial" if k >= 1 else "complement"
-        elif k >= 2:
-            branch = "binomial"
-        else:
-            branch = f"m{k}-{'even' if n % 2 == 0 else 'odd'}"
-    else:
-        raise DomainError(f"unknown statistic {statistic!r}")
-    return FormulaResult(value, f"{statistic}-{family.value}/{branch}")
-
-
 def verify_sum_identity(n: int) -> bool:
     """Check sum(p=2..n) (2n-p+1)/(p+1)*C(n,p) == 3*2^n - n^2 - 2n - 3 exactly."""
     if n < 2:
@@ -205,8 +167,8 @@ def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:
         raise DomainError("input must be nonempty (its extremes drive the case split)")
     if not is_member(a, Family.ODP):
         raise DomainError("input must be an order-preserving partial isometry")
-    stats = statistics(a)
-    s, w = stats.right_shoulder, stats.right_waist
+    # a is order-preserving (checked above), so its last pair is (s, w)
+    s, w = a.pairs[-1]
     if s == w:
         return PartialInjection(n, a.pairs + ((n, n),))
     if s > w:
@@ -214,9 +176,7 @@ def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:
     return inverse(phi_bijection(inverse(a), n))
 
 
-def phi_bijection_report(
-    n: int, p: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> dict[str, bool]:
+def phi_bijection_report(n: int, p: int) -> dict[str, bool]:
     """Check :func:`phi_bijection` restricted to height p-1 inputs.
 
     Verifies that the extension map is injective, that its image is exactly
@@ -226,15 +186,15 @@ def phi_bijection_report(
     """
     if not 2 <= p <= n:
         raise DomainError(f"need 2 <= p <= n, got p={p}, n={n}")
-    source = list(enumerate_fast(n - 1, Family.ODP, height=p - 1, cap=cap))
+    source = list(enumerate_fast(n - 1, Family.ODP, height=p - 1))
     images = [phi_bijection(a, n) for a in source]
     touching, untouched = [], []
-    for a in enumerate_fast(n, Family.ODP, height=p, cap=cap):
+    for a in enumerate_fast(n, Family.ODP, height=p):
         (touching if n in a.domain or n in a.image else untouched).append(a)
     inherited = (
         0
         if p > n - 1
-        else sum(1 for _ in enumerate_fast(n - 1, Family.ODP, height=p, cap=cap))
+        else sum(1 for _ in enumerate_fast(n - 1, Family.ODP, height=p))
     )
     return {
         "injective": len(set(images)) == len(images),

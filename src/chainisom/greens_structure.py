@@ -2,8 +2,8 @@
 
 Two independent routes to the Green's relations are kept side by side:
 
-* the criterion route works directly on elements (domain containment for
-  the R order, image containment for L, gap-signature matching for D);
+* the criterion route works directly on elements (equal domains for R,
+  equal images for L, both for H, matching gap signatures for D);
 * the oracle route works on a finished multiplication table using nothing
   but principal ideals, with an implicit external identity adjoined so the
   same code is correct on sub-tables and quotients that lack one.
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
-from .chain_maps import PartialInjection, compose, gap_signature, to_json
+from .chain_maps import compose, gap_signature, to_json
 from .errors import (
     DomainError,
     LimitExceeded,
@@ -55,77 +55,10 @@ class _SentinelElement:
 ADJOINED_ZERO = _SentinelElement("0")
 
 
-def element_text(el) -> str:
-    """Display form of a table element (matrix notation, or the bare label)."""
-    if isinstance(el, _SentinelElement):
-        return el.label
-    return str(el)
-
-
 def element_json(el) -> dict:
     if isinstance(el, _SentinelElement):
         return {"label": el.label}
     return to_json(el)
-
-
-# ---------------------------------------------------------------------------
-# Element-level preorders and the D relation
-
-def _same_chain(a: PartialInjection, b: PartialInjection) -> None:
-    if a.n != b.n:
-        raise MismatchedChain(f"maps live on chains of size {a.n} and {b.n}")
-
-
-def r_le(a: PartialInjection, b: PartialInjection) -> bool:
-    """R-order: a is a right multiple of b, i.e. Dom a is contained in Dom b."""
-    _same_chain(a, b)
-    return set(a.domain) <= set(b.domain)
-
-
-def l_le(a: PartialInjection, b: PartialInjection) -> bool:
-    """L-order: Im a is contained in Im b."""
-    _same_chain(a, b)
-    return set(a.image) <= set(b.image)
-
-
-def h_le(a: PartialInjection, b: PartialInjection) -> bool:
-    _same_chain(a, b)
-    return set(a.domain) <= set(b.domain) and set(a.image) <= set(b.image)
-
-
-def _signature_targets(sig, family: Family) -> set:
-    if family is Family.DP:
-        return {sig.diffs, sig.diffs[::-1]}
-    return {sig.diffs}
-
-
-def d_le(a: PartialInjection, b: PartialInjection, family: Family) -> bool:
-    """D-order: Dom a embeds distance-preservingly into Dom b.
-
-    For the order-preserving family only translated copies count; for the
-    full family reflected copies do too.  The search is a plain scan over
-    the |Dom b| choose |Dom a| candidate subsets, which is the point: this
-    is the slow verification route, with signature comparison
-    (:func:`d_related`) as the fast one.
-    """
-    _same_chain(a, b)
-    k = a.height
-    if k > b.height:
-        return False
-    targets = _signature_targets(gap_signature(a.domain), family)
-    return any(
-        gap_signature(sub).diffs in targets for sub in combinations(b.domain, k)
-    )
-
-
-def d_related(a: PartialInjection, b: PartialInjection, family: Family) -> bool:
-    """Mutual D-order via signatures: equal heights and matching domain type."""
-    _same_chain(a, b)
-    if a.height != b.height:
-        return False
-    return gap_signature(b.domain).diffs in _signature_targets(
-        gap_signature(a.domain), family
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +117,7 @@ def greens_classes_criterion(
     else:
         keys = []
         for el in elements:
-            sig = gap_signature(el.domain).diffs
+            sig = gap_signature(el.domain)
             if family is Family.DP:
                 sig = min(sig, sig[::-1])
             keys.append((el.height, sig))
@@ -218,9 +151,6 @@ class SemigroupTable:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def product(self, i: int, j: int) -> int:
-        return self.mult[i][j]
 
     def is_associative(self) -> bool:
         """Light's associativity test, cached; |A|*k^2 steps on first use.
@@ -280,11 +210,14 @@ def build_table(elements) -> SemigroupTable:
 
     Raises :class:`NotClosed` (carrying the offending factor pair) when a
     product escapes the set, and :class:`LimitExceeded` beyond desk scale.
+    ``elements`` may be a generator: at most ``TABLE_ELEMENT_CAP + 1`` of
+    them are read before a set over the cap is refused.
     """
-    elements = list(elements)
+    elements = list(islice(elements, TABLE_ELEMENT_CAP + 1))
     if len(elements) > TABLE_ELEMENT_CAP:
         raise LimitExceeded(
-            f"table over {len(elements)} elements exceeds the cap {TABLE_ELEMENT_CAP}"
+            f"table over {TABLE_ELEMENT_CAP + 1} or more elements exceeds "
+            f"the cap {TABLE_ELEMENT_CAP}"
         )
     if elements and any(el.n != elements[0].n for el in elements):
         raise MismatchedChain("all elements must live on the same chain")
@@ -300,8 +233,7 @@ def build_table(elements) -> SemigroupTable:
             i = index.get(c.pairs)
             if i is None:
                 raise NotClosed(
-                    f"product {element_text(a)} * {element_text(b)} = "
-                    f"{element_text(c)} is outside the element set",
+                    f"product {a} * {b} = {c} is outside the element set",
                     pair=(a, b),
                 )
             row.append(i)
@@ -313,7 +245,7 @@ def build_family_table(
     n: int, family: Family, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> SemigroupTable:
     """Table of the whole family on the chain of size ``n``."""
-    return build_table(list(enumerate_fast(n, family, cap=cap)))
+    return build_table(enumerate_fast(n, family, cap=cap))
 
 
 def _principal_right_sets(table: SemigroupTable):
@@ -334,23 +266,6 @@ def _class_ids(keys) -> list[int]:
     for key in keys:
         out.append(ids.setdefault(key, len(ids)))
     return out
-
-
-def d_compositions_commute(table: SemigroupTable) -> bool:
-    """Check that composing R after L and L after R relate the same pairs.
-
-    True in every finite semigroup; exposed so the tests can confirm the
-    oracle's D construction is well defined on these tables.
-    """
-    r_id = _class_ids(_principal_right_sets(table))
-    l_id = _class_ids(_principal_left_sets(table))
-    present = {(r, l) for r, l in zip(r_id, l_id)}
-    k = len(table)
-    return all(
-        ((r_id[a], l_id[b]) in present) == ((r_id[b], l_id[a]) in present)
-        for a in range(k)
-        for b in range(k)
-    )
 
 
 def greens_classes_oracle(table: SemigroupTable, relation: str) -> GreensClasses:
@@ -490,23 +405,15 @@ def replay_witness(table: SemigroupTable, witness: Witness) -> bool:
 # ---------------------------------------------------------------------------
 # Ideals and Rees quotients
 
-@dataclass(frozen=True)
-class ReesQuotient:
+def build_rees_quotient(
+    n: int, p: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> SemigroupTable:
     """The height-p layer of the order-preserving family with a zero glued on.
 
     Nonzero elements are the height-p members; a product stands when it
     keeps height p and collapses to the adjoined zero otherwise (all lower
-    heights form an ideal, so this is well defined).
+    heights form an ideal, so this is well defined).  The zero has index 0.
     """
-
-    n: int
-    p: int
-    table: SemigroupTable
-
-
-def build_rees_quotient(
-    n: int, p: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ReesQuotient:
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= n, got p={p}, n={n}")
     layer = list(enumerate_fast(n, Family.ODP, height=p, cap=cap))
@@ -523,31 +430,11 @@ def build_rees_quotient(
             c = compose(a, b)
             row.append(index[c.pairs] if c.height == p else 0)
         mult.append(row)
-    table = SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
-    return ReesQuotient(n, p, table)
+    return SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
 
 
 # ---------------------------------------------------------------------------
 # Exports
-
-def table_to_csv(table: SemigroupTable) -> str:
-    """Dense CSV: header row of column indices, then one row per element."""
-    k = len(table)
-    lines = ["," + ",".join(str(j) for j in range(k))]
-    for i, row in enumerate(table.mult):
-        lines.append(f"{i}," + ",".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def table_manifest(table: SemigroupTable) -> dict:
-    """JSON-ready element manifest accompanying the CSV table."""
-    return {
-        "elements": [
-            {"index": i, **element_json(el)} for i, el in enumerate(table.elements)
-        ],
-        "zero_index": table.zero_index,
-    }
-
 
 def witness_to_json(table: SemigroupTable, witness: Witness) -> dict:
     return {

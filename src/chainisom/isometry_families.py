@@ -48,9 +48,11 @@ class Family(Enum):
 
 
 def is_member(a: PartialInjection, family: Family) -> bool:
+    if family is Family.DP:
+        return is_isometry(a)
     if family is Family.ODP:
         return is_isometry(a) and is_order_preserving(a)
-    return is_isometry(a)
+    raise DomainError(f"family must be a Family, got {family!r}")
 
 
 def enumerate_fast(
@@ -61,12 +63,15 @@ def enumerate_fast(
 ) -> Iterator[PartialInjection]:
     """Stream the family on the chain of size ``n``, each element once.
 
+    ``family`` must be a :class:`Family` (the string "dp" is not one),
     ``n`` and ``height`` must be of type ``int`` exactly, and ``height``
     restricts the stream to one image size, which must lie in 0..n
     (:class:`DomainError` otherwise).  ``cap`` guards against runaway
     enumerations (the family grows like 3 * 2^n); pass a larger value
     explicitly to go beyond the default.
     """
+    if not isinstance(family, Family):
+        raise DomainError(f"family must be a Family, got {family!r}")
     # exact type, as for PartialInjection's chain size: the elements are
     # built unvalidated, so a bool or float n would reach them unchecked
     if type(n) is not int or (height is not None and type(height) is not int):
@@ -109,6 +114,8 @@ def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:
     size 8 already has about 1.4 million partial injections, so larger
     chains are refused.
     """
+    if not isinstance(family, Family):
+        raise DomainError(f"family must be a Family, got {family!r}")
     if n < 0:
         raise DomainError(f"chain size must be non-negative, got {n}")
     if n > ORACLE_CAP:
@@ -144,11 +151,6 @@ def count_by_fix(
     for a in enumerate_fast(n, family, cap=cap):
         counts[sum(1 for x, y in a.pairs if x == y)] += 1
     return counts
-
-
-def order(n: int, family: Family, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """Number of elements of the family on the chain of size ``n``."""
-    return sum(1 for _ in enumerate_fast(n, family, cap=cap))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ def table(n: int, family: Family):
 
 @lru_cache(maxsize=None)
 def rees_table(n: int, p: int):
-    return build_rees_quotient(n, p).table
+    return build_rees_quotient(n, p)
 
 
 def associative_exhaustive(tab) -> bool:

@@ -11,22 +11,26 @@ from chainisom import (
     PartialInjection,
     compose,
     from_json,
-    from_text,
     gap_signature,
     inverse,
-    is_idempotent,
     is_isometry,
     is_order_preserving,
     is_order_reversing,
-    is_partial_identity,
     make_partial_injection,
     partial_identity,
-    statistics,
     to_json,
     to_text,
 )
 from helpers import elements
 from chainisom import Family
+
+
+def is_partial_identity(a):
+    return all(x == y for x, y in a.pairs)
+
+
+def fixed_points(a):
+    return {x for x, y in a.pairs if x == y}
 
 
 def _draw_map(draw, n):
@@ -57,7 +61,7 @@ class TestConstruction:
     def test_valid_non_idempotent(self):
         a = make_partial_injection(3, [(2, 2), (3, 1)])
         assert a.pairs == ((2, 2), (3, 1))
-        assert not is_idempotent(a)
+        assert compose(a, a) != a
 
     def test_repeated_image_rejected(self):
         with pytest.raises(NotInjective):
@@ -133,10 +137,6 @@ class TestCompose:
         with pytest.raises(MismatchedChain):
             compose(PartialInjection(3), PartialInjection(4))
 
-    def test_operator_sugar(self):
-        a = partial_identity(3, [1, 2])
-        assert a * a == a
-
 
 class TestInverse:
     def test_transposition(self):
@@ -158,37 +158,31 @@ class TestInverse:
 
 
 class TestStatistics:
+    # shoulders are the extremes of the domain, waists those of the image
     def test_direct_reading(self):
-        s = statistics(make_partial_injection(5, [(2, 4), (3, 3), (4, 2)]))
-        assert s.height == 3
-        assert s.fix_set == frozenset({3})
-        assert s.right_shoulder == 4
-        assert s.right_waist == 4
-        assert s.left_shoulder == 2
-        assert s.left_waist == 2
+        a = make_partial_injection(5, [(2, 4), (3, 3), (4, 2)])
+        assert a.height == 3
+        assert fixed_points(a) == {3}
+        assert a.domain[-1] == 4 and a.image[-1] == 4
+        assert a.domain[0] == 2 and a.image[0] == 2
 
     def test_identity_fixes_everything(self):
         for n in (1, 4, 7):
-            s = statistics(partial_identity(n, range(1, n + 1)))
-            assert s.fix_count == n
-            assert s.fix_set == frozenset(range(1, n + 1))
+            a = partial_identity(n, range(1, n + 1))
+            assert fixed_points(a) == set(range(1, n + 1))
 
     def test_single_fixed_point(self):
-        s = statistics(make_partial_injection(3, [(1, 3), (2, 2)]))
-        assert s.fix_set == frozenset({2})
-        assert s.fix_count == 1
+        assert fixed_points(make_partial_injection(3, [(1, 3), (2, 2)])) == {2}
 
     def test_empty_map_has_absent_extremes(self):
-        s = statistics(PartialInjection(6))
-        assert s.height == 0
-        assert s.right_waist is None and s.left_waist is None
-        assert s.right_shoulder is None and s.left_shoulder is None
-        assert s.fix_count == 0
+        a = PartialInjection(6)
+        assert a.height == 0
+        assert a.domain == () and a.image == ()
+        assert not fixed_points(a)
 
     def test_fix_count_bounded_by_height(self):
         for a in elements(5, Family.DP):
-            s = statistics(a)
-            assert s.fix_count <= s.height == a.height
+            assert len(fixed_points(a)) <= a.height == len(a.pairs)
 
 
 class TestPredicates:
@@ -215,13 +209,12 @@ class TestPredicates:
             assert is_order_reversing(a)
 
     def test_idempotents(self):
-        assert is_idempotent(make_partial_injection(3, [(2, 2)]))
-        assert is_partial_identity(make_partial_injection(3, [(2, 2)]))
+        a = make_partial_injection(3, [(2, 2)])
+        assert compose(a, a) == a and is_partial_identity(a)
         b = make_partial_injection(3, [(2, 2), (3, 1)])
-        assert not is_idempotent(b)
-        assert not is_partial_identity(b)
-        assert is_idempotent(PartialInjection(3))
-        assert is_partial_identity(PartialInjection(3))
+        assert compose(b, b) != b and not is_partial_identity(b)
+        zero = PartialInjection(3)
+        assert compose(zero, zero) == zero and is_partial_identity(zero)
 
     def test_idempotent_iff_partial_identity_on_all_of_i3(self):
         # every partial injection on the 3-chain, not just the isometries
@@ -230,18 +223,19 @@ class TestPredicates:
             for dom in itertools.combinations(points, k):
                 for img in itertools.permutations(points, k):
                     a = make_partial_injection(3, zip(dom, img))
-                    assert is_idempotent(a) == is_partial_identity(a)
+                    assert (compose(a, a) == a) == is_partial_identity(a)
 
 
 class TestGapSignature:
     def test_examples(self):
-        assert gap_signature([1, 3, 4]).diffs == (2, 1)
+        assert gap_signature([1, 3, 4]) == (2, 1)
         assert gap_signature([2, 4, 5]) == gap_signature([1, 3, 4])
-        assert gap_signature([]).diffs == ()
-        assert gap_signature([7]).diffs == ()
+        assert gap_signature([]) == ()
+        assert gap_signature([7]) == ()
 
     def test_reversed(self):
-        assert gap_signature([1, 2, 4]).reversed() == gap_signature([1, 3, 4])
+        # reflecting {1, 2, 4} to {1, 3, 4} reverses its signature
+        assert gap_signature([1, 2, 4])[::-1] == gap_signature([1, 3, 4])
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -259,22 +253,14 @@ class TestSerialization:
     def test_text_form(self):
         a = make_partial_injection(3, [(2, 2), (3, 1)])
         assert to_text(a) == "(2 3 / 2 1)"
-        assert from_text("(2 3 / 2 1)", 3) == a
+        assert str(a) == "(2 3 / 2 1)"
         assert to_text(PartialInjection(2)) == "( / )"
-        assert from_text("( / )", 2) == PartialInjection(2)
-
-    def test_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            from_text("2 3 / 2 1", 3)
-        with pytest.raises(ValueError):
-            from_text("(2 3 / 2)", 3)
 
 
 class TestRandomised:
     @given(partial_injections())
     def test_serialisation_round_trips(self, a):
         assert from_json(to_json(a)) == a
-        assert from_text(to_text(a), a.n) == a
 
     @given(partial_injections())
     def test_inverse_laws(self, a):
@@ -298,7 +284,7 @@ class TestRandomised:
         rebuilt = PartialInjection(c.n, c.pairs)
         assert c == rebuilt
         assert hash(c) == hash(rebuilt)
-        first, then = a.mapping, b.mapping
+        first, then = dict(a.pairs), dict(b.pairs)
         plain = {x: then[y] for x, y in first.items() if y in then}
         assert c.pairs == tuple(sorted(plain.items()))
         with pytest.raises(MismatchedChain):
@@ -306,11 +292,17 @@ class TestRandomised:
 
     @given(partial_injections())
     def test_idempotent_iff_partial_identity(self, a):
-        assert is_idempotent(a) == is_partial_identity(a)
+        assert (compose(a, a) == a) == is_partial_identity(a)
 
     @given(partial_injections())
     def test_statistics_consistency(self, a):
-        s = statistics(a)
-        assert s.height == len(a.pairs)
-        assert s.fix_count == len(s.fix_set) <= s.height
-        assert (s.right_waist is None) == a.is_empty
+        assert a.height == len(a.pairs) == len(a.domain) == len(a.image)
+        assert len(fixed_points(a)) <= a.height
+        if a.is_empty:
+            return
+        # phi_bijection reads the right shoulder and waist off the last
+        # pair, which holds both only for an order-preserving map
+        s, w = a.pairs[-1]
+        assert s == a.domain[-1]
+        if is_order_preserving(a):
+            assert w == a.image[-1]

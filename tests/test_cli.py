@@ -6,7 +6,7 @@ import pytest
 from chainisom import checks
 from chainisom.chain_maps import _trusted, to_json
 from chainisom.cli import _compact, main
-from chainisom.isometry_families import Family, enumerate_fast
+from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
 from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
 
@@ -220,12 +220,17 @@ def _pairs_reversed(els):
     els[i] = _trusted(els[i].n, els[i].pairs[::-1])
 
 
+def _last_dropped(els):
+    del els[-1]
+
+
 class TestOracleEquivalenceCatchesFastRouteFaults:
     """oracle-equivalence is the safety net for the unvalidated fast route:
     a fast stream with one element dropped, duplicated or non-canonical
-    must fail it, through ``run_check`` and through the CLI."""
+    must fail it, through ``run_check`` and through the CLI, with a witness
+    that replays."""
 
-    @pytest.fixture(params=[_dropped, _duplicated, _pairs_reversed])
+    @pytest.fixture(params=[_dropped, _duplicated, _pairs_reversed, _last_dropped])
     def corrupted(self, request, monkeypatch):
         real = checks.enumerate_fast
 
@@ -245,6 +250,24 @@ class TestOracleEquivalenceCatchesFastRouteFaults:
                         "--n-range", "4..4")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
+
+    def test_witness_replays(self, corrupted):
+        # the streams agree before the witness index and differ at it, each
+        # side showing its element there, or null past its end
+        def at(els, i):
+            return to_json(els[i]) if i < len(els) else None
+
+        for inst in checks.run_check("oracle-equivalence", 4, 4):
+            fam = Family(inst["params"]["family"])
+            fast = list(checks.enumerate_fast(4, fam))
+            oracle = list(enumerate_oracle(4, fam))
+            assert list(enumerate_fast(4, fam)) == oracle
+            witness = inst["witness"]
+            i = witness["index"]
+            assert fast[:i] == oracle[:i]
+            assert witness["fast"] == at(fast, i)
+            assert witness["oracle"] == at(oracle, i)
+            assert witness["fast"] != witness["oracle"]
 
 
 class TestGreens:

@@ -19,27 +19,20 @@ from chainisom import (
     build_rees_quotient,
     build_table,
     compose,
-    d_le,
-    d_related,
     enumerate_fast,
     greens_classes_criterion,
     greens_classes_oracle,
-    h_le,
     idempotents,
     is_categorical,
     is_inverse,
     is_zero_e_unitary,
-    l_le,
     make_partial_injection,
     partial_identity,
-    r_le,
     replay_witness,
-    table_manifest,
-    table_to_csv,
     witness_to_json,
 )
-from chainisom import greens_structure
-from chainisom.greens_structure import RELATIONS, d_compositions_commute
+from chainisom import checks, greens_structure
+from chainisom.greens_structure import RELATIONS
 from helpers import associative_exhaustive, elements, rees_table, table
 
 BOTH = (Family.DP, Family.ODP)
@@ -49,64 +42,113 @@ def rees_tables(max_n):
     return [rees_table(n, p) for n in range(1, max_n + 1) for p in range(1, n + 1)]
 
 
+# The Green's preorders read from a table alone, with S^1 = S plus an
+# external identity: a <=R b when a = bs, a <=L b when a = sb, and
+# a <=J b when a = sbt, for some s, t in S^1.
+
+def right_sets(tab):
+    return [frozenset(row) | {a} for a, row in enumerate(tab.mult)]
+
+
+def left_sets(tab):
+    return [frozenset(row[a] for row in tab.mult) | {a} for a in range(len(tab))]
+
+
+def two_sided_ideals(tab):
+    right = right_sets(tab)
+    return [frozenset().union(*(right[x] for x in left)) for left in left_sets(tab)]
+
+
+def below(sets, tab, a, b):
+    return tab.elements.index(a) in sets(tab)[tab.elements.index(b)]
+
+
 class TestPreorders:
+    # the R order is domain containment and the L order image containment
     def test_subset_restriction(self):
+        tab = table(3, Family.DP)
         a = make_partial_injection(3, [(2, 2)])
         b = partial_identity(3, [1, 2])
-        assert r_le(a, b) and l_le(a, b) and h_le(a, b)
-        assert not r_le(b, a)
+        assert below(right_sets, tab, a, b) and below(left_sets, tab, a, b)
+        assert not below(right_sets, tab, b, a)
 
     def test_empty_below_everything(self):
+        tab = table(4, Family.DP)
         zero = PartialInjection(4)
-        for b in elements(4, Family.DP):
-            assert r_le(zero, b) and l_le(zero, b) and h_le(zero, b)
+        for b in tab.elements:
+            assert below(right_sets, tab, zero, b) and below(left_sets, tab, zero, b)
 
     def test_domain_vs_image(self):
+        tab = table(3, Family.DP)
         a = make_partial_injection(3, [(1, 2)])
         b = make_partial_injection(3, [(2, 1), (3, 2)])
-        assert not r_le(a, b)  # Dom {1} is not inside {2, 3}
-        assert l_le(a, b)
-        assert not h_le(a, b)
+        assert not below(right_sets, tab, a, b)  # Dom {1} is not inside {2, 3}
+        assert below(left_sets, tab, a, b)
+
+    def test_orders_are_containments(self):
+        for n in range(5):
+            for fam in BOTH:
+                tab = table(n, fam)
+                right, left = right_sets(tab), left_sets(tab)
+                for i, a in enumerate(tab.elements):
+                    for j, b in enumerate(tab.elements):
+                        assert (i in right[j]) == (set(a.domain) <= set(b.domain))
+                        assert (i in left[j]) == (set(a.image) <= set(b.image))
 
     def test_mismatched_chain(self):
-        with pytest.raises(MismatchedChain):
-            r_le(PartialInjection(3), PartialInjection(4))
-        with pytest.raises(MismatchedChain):
-            d_le(PartialInjection(3), PartialInjection(4), Family.DP)
+        mixed = [PartialInjection(3), PartialInjection(4)]
+        for rel in RELATIONS:
+            with pytest.raises(MismatchedChain):
+                greens_classes_criterion(mixed, Family.DP, rel)
 
 
 class TestDOrder:
+    # the D (= J) order: Dom a embeds into Dom b by a translation, or for
+    # dp also by a reflection
     def test_embedding_found(self):
         a = partial_identity(5, [1, 3])
         b = partial_identity(5, [2, 4, 5])
         # {2, 4} is a translate of {1, 3}
-        assert d_le(a, b, Family.ODP) and d_le(a, b, Family.DP)
+        for fam in BOTH:
+            assert below(two_sided_ideals, table(5, fam), a, b)
 
     def test_empty_embeds_anywhere(self):
-        for b in elements(4, Family.DP):
-            assert d_le(PartialInjection(4), b, Family.DP)
+        tab = table(4, Family.DP)
+        for b in tab.elements:
+            assert below(two_sided_ideals, tab, PartialInjection(4), b)
 
     def test_reflection_needed(self):
         a = partial_identity(4, [1, 2, 4])  # gaps (1, 2)
         b = partial_identity(4, [1, 3, 4])  # gaps (2, 1)
-        assert d_le(a, b, Family.DP)
-        assert not d_le(a, b, Family.ODP)
+        assert below(two_sided_ideals, table(4, Family.DP), a, b)
+        assert not below(two_sided_ideals, table(4, Family.ODP), a, b)
 
     def test_d_related_examples(self):
         a = partial_identity(4, [1, 2])
         b = make_partial_injection(4, [(3, 2), (4, 3)])
-        assert d_related(a, b, Family.ODP) and d_related(a, b, Family.DP)
         c = make_partial_injection(4, [(1, 1)])
-        assert not d_related(c, a, Family.ODP)  # heights differ
+        for fam in BOTH:
+            tab = table(4, fam)
+            block = next(
+                block for block in greens_classes_oracle(tab, "D").partition
+                if tab.elements.index(a) in block
+            )
+            assert tab.elements.index(b) in block
+            assert tab.elements.index(c) not in block  # heights differ
 
     def test_d_related_iff_mutual_d_le(self):
         for n in range(6):
             for fam in BOTH:
-                els = elements(n, fam)
-                for a in els:
-                    for b in els:
-                        assert d_related(a, b, fam) == (
-                            d_le(a, b, fam) and d_le(b, a, fam)
+                tab = table(n, fam)
+                ideals = two_sided_ideals(tab)
+                d_class = {}
+                classes = greens_classes_criterion(tab.elements, fam, "D")
+                for cid, block in enumerate(classes.partition):
+                    d_class.update(dict.fromkeys(block, cid))
+                for a in range(len(tab)):
+                    for b in range(len(tab)):
+                        assert (d_class[a] == d_class[b]) == (
+                            a in ideals[b] and b in ideals[a]
                         )
 
 
@@ -164,24 +206,25 @@ class TestOracleAgreement:
         assert set(classes.block_sizes()) <= {1, 2}
 
     def test_compositions_commute(self):
-        for n in range(6):
-            for fam in BOTH:
-                assert d_compositions_commute(table(n, fam))
-        for tab in rees_tables(6):
-            assert d_compositions_commute(tab)
+        # R after L relates the same pairs as L after R in every semigroup;
+        # the oracle's D grouping relies on it
+        tabs = [table(n, fam) for n in range(6) for fam in BOTH] + rees_tables(6)
+        for tab in tabs:
+            right, left = right_sets(tab), left_sets(tab)
+            present = set(zip(right, left))
+            for a in range(len(tab)):
+                for b in range(len(tab)):
+                    assert ((right[a], left[b]) in present) == (
+                        (right[b], left[a]) in present
+                    )
 
     def test_d_equals_j(self):
         # J via principal two-sided ideals, computed here independently
         for n in range(6):
             for fam in BOTH:
                 tab = table(n, fam)
-                mult = tab.mult
                 k = len(tab)
-                ideals = []
-                for a in range(k):
-                    reach = {a} | set(mult[a]) | {mult[s][a] for s in range(k)}
-                    reach |= {mult[mult[s][a]][t] for s in range(k) for t in range(k)}
-                    ideals.append(frozenset(reach))
+                ideals = two_sided_ideals(tab)
                 j_keys = {}
                 j_ids = [j_keys.setdefault(ideal, len(j_keys)) for ideal in ideals]
                 d_classes = greens_classes_oracle(tab, "D").partition
@@ -272,6 +315,28 @@ class TestBuildTable:
         with pytest.raises(LimitExceeded):
             build_table(list(enumerate_fast(9, Family.DP)))
 
+    def test_size_cap_refuses_before_enumerating_the_family(self, monkeypatch):
+        # dp on the 16-chain has 392,891 elements; only cap + 1 are read
+        read = []
+
+        def counting_enumerate(*args, **kwargs):
+            for a in enumerate_fast(*args, **kwargs):
+                read.append(a)
+                yield a
+
+        monkeypatch.setattr(greens_structure, "enumerate_fast", counting_enumerate)
+        monkeypatch.setattr(checks, "enumerate_fast", counting_enumerate)
+        for attempt in (
+            lambda: build_table(counting_enumerate(16, Family.DP)),
+            lambda: build_family_table(16, Family.DP),
+            lambda: checks.run_check("greens", 16, 16),
+            lambda: checks.run_check("eunitary", 16, 16),
+        ):
+            read.clear()
+            with pytest.raises(LimitExceeded):
+                attempt()
+            assert len(read) == greens_structure.TABLE_ELEMENT_CAP + 1
+
     def test_zero_marked(self):
         assert table(3, Family.DP).zero_index == 0
         assert table(3, Family.DP).elements[0] == PartialInjection(3)
@@ -318,7 +383,7 @@ class TestInverseAndIdempotents:
     def test_is_inverse(self):
         assert is_inverse(table(4, Family.DP))
         assert is_inverse(table(4, Family.ODP))
-        assert is_inverse(build_rees_quotient(4, 2).table)
+        assert is_inverse(build_rees_quotient(4, 2))
 
     def test_not_inverse_counterexample(self):
         # left-zero semigroup: both elements idempotent but they do not commute
@@ -417,32 +482,32 @@ class TestCategorical:
 
 class TestReesQuotient:
     def test_sizes(self):
-        assert len(build_rees_quotient(3, 2).table) == 6
-        assert len(build_rees_quotient(4, 2).table) == 15
+        assert len(build_rees_quotient(3, 2)) == 6
+        assert len(build_rees_quotient(4, 2)) == 15
 
     def test_top_layer_is_a_semilattice(self):
         q = build_rees_quotient(4, 4)
-        assert len(q.table) == 2
-        assert q.table.mult == ((0, 0), (0, 1))
-        assert q.table.elements[0] is ADJOINED_ZERO
-        assert q.table.elements[1] == partial_identity(4, [1, 2, 3, 4])
+        assert len(q) == 2
+        assert q.mult == ((0, 0), (0, 1))
+        assert q.elements[0] is ADJOINED_ZERO
+        assert q.elements[1] == partial_identity(4, [1, 2, 3, 4])
 
     def test_product_rule_matches_composition(self):
         q = build_rees_quotient(4, 2)
-        layer = q.table.elements[1:]
+        layer = q.elements[1:]
         for i, a in enumerate(layer, start=1):
             for j, b in enumerate(layer, start=1):
                 c = compose(a, b)
-                got = q.table.mult[i][j]
+                got = q.mult[i][j]
                 if c.height == 2:
-                    assert q.table.elements[got] == c
+                    assert q.elements[got] == c
                 else:
                     assert got == 0
 
     def test_structure_predicates(self):
         for n in range(1, 5):
             for p in range(1, n + 1):
-                tab = build_rees_quotient(n, p).table
+                tab = build_rees_quotient(n, p)
                 assert tab.is_associative()
                 assert is_inverse(tab)
                 assert is_zero_e_unitary(tab) == (True, None)
@@ -456,24 +521,6 @@ class TestReesQuotient:
 
 
 class TestExports:
-    def test_csv_shape(self):
-        tab = table(2, Family.ODP)
-        lines = table_to_csv(tab).splitlines()
-        assert lines[0] == "," + ",".join(str(i) for i in range(6))
-        assert len(lines) == 7
-        assert lines[1].startswith("0,")
-
-    def test_manifest(self):
-        q = build_rees_quotient(3, 3)
-        manifest = table_manifest(q.table)
-        assert manifest["zero_index"] == 0
-        assert manifest["elements"][0] == {"index": 0, "label": "0"}
-        assert manifest["elements"][1] == {
-            "index": 1,
-            "n": 3,
-            "map": [[1, 1], [2, 2], [3, 3]],
-        }
-
     def test_witness_json(self):
         tab = table(3, Family.DP)
         _, witness = is_zero_e_unitary(tab)

@@ -14,9 +14,7 @@ from chainisom import (
     inverse,
     is_member,
     make_partial_injection,
-    order,
 )
-from chainisom.chain_maps import sort_key
 from helpers import elements
 
 BOTH = (Family.DP, Family.ODP)
@@ -36,6 +34,12 @@ class TestMembership:
         a = make_partial_injection(3, [(1, 1), (2, 3)])
         assert not is_member(a, Family.DP)
         assert not is_member(a, Family.ODP)
+
+    def test_non_family_rejected(self):
+        # a bare string would otherwise be read as one of the two families
+        swap = make_partial_injection(3, [(1, 3), (3, 1)])
+        with pytest.raises(DomainError):
+            is_member(swap, "odp")
 
 
 class TestFastEnumeration:
@@ -78,6 +82,10 @@ class TestFastEnumeration:
         with pytest.raises(DomainError):
             enumerate_fast(3, Family.ODP, height=2.0)
 
+    def test_non_family_rejected(self):
+        with pytest.raises(DomainError):
+            enumerate_fast(3, "dp")
+
     def test_elements_are_canonical(self):
         # each unvalidated element equals, and hashes like, its validated
         # rebuild, and carries an int chain size (True == 1 would compare
@@ -93,7 +101,8 @@ class TestFastEnumeration:
     def test_canonical_order(self):
         for fam in BOTH:
             els = list(enumerate_fast(6, fam))
-            keys = [sort_key(a) for a in els]
+            # height, then domain, then images in domain order
+            keys = [(a.height, a.domain, tuple(y for _, y in a.pairs)) for a in els]
             assert keys == sorted(keys)
 
     def test_no_duplicates_up_to_12(self):
@@ -133,9 +142,9 @@ class TestFastEnumeration:
         for n in range(1, 8):
             for a in elements(n, Family.ODP):
                 if n in a.domain and n in a.image:
-                    assert a.mapping[n] == n
+                    assert dict(a.pairs)[n] == n
         swap = make_partial_injection(3, [(1, 3), (3, 1)])
-        assert is_member(swap, Family.DP) and swap.mapping[3] != 3
+        assert is_member(swap, Family.DP) and dict(swap.pairs)[3] != 3
 
     def test_cap_enforced(self):
         with pytest.raises(LimitExceeded):
@@ -165,6 +174,10 @@ class TestOracleEnumeration:
         with pytest.raises(DomainError):
             enumerate_oracle(-1, Family.DP)
 
+    def test_non_family_rejected(self):
+        with pytest.raises(DomainError):
+            enumerate_oracle(3, "odp")
+
 
 class TestCounting:
     def test_height_row(self):
@@ -174,12 +187,12 @@ class TestCounting:
         assert count_by_fix(7, Family.DP) == [460, 106, 21, 35, 35, 21, 7, 1]
 
     def test_order(self):
-        assert order(6, Family.DP) == 319
+        assert sum(1 for _ in enumerate_fast(6, Family.DP)) == 319
 
     def test_histograms_sum_to_order(self):
         for n in range(13):
             for fam in BOTH:
-                total = order(n, fam)
+                total = sum(1 for _ in enumerate_fast(n, fam))
                 assert sum(count_by_height(n, fam)) == total
                 assert sum(count_by_fix(n, fam)) == total
 
