@@ -52,10 +52,8 @@ from .errors import (
 )
 from .greens_structure import (
     ADJOINED_ZERO,
-    GreensClasses,
     SemigroupTable,
     Witness,
-    build_family_table,
     build_rees_quotient,
     build_table,
     greens_classes_criterion,

@@ -28,7 +28,6 @@ from .closed_forms import (
 from .errors import ChainIsomError
 from .greens_structure import (
     RELATIONS,
-    build_family_table,
     build_rees_quotient,
     build_table,
     greens_classes_criterion,
@@ -154,18 +153,16 @@ def greens(lo, hi):
         for fam in FAMILIES:
             # build_table refuses an over-cap family before enumerating it all
             table = build_table(enumerate_fast(n, fam))
+            oracle = greens_classes_oracle(table)
             for rel in RELATIONS:
-                same = (
-                    greens_classes_criterion(table.elements, fam, rel).partition
-                    == greens_classes_oracle(table, rel).partition
-                )
+                same = greens_classes_criterion(table.elements, fam, rel) == oracle[rel]
                 yield {"n": n, "family": fam.value, "relation": rel}, same, None
 
 
 def eunitary(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
-            table = build_family_table(n, fam)
+            table = build_table(enumerate_fast(n, fam))
             holds, witness = is_zero_e_unitary(table)
             if fam is Family.ODP or n <= 2:
                 # violations need a reflection about an interior point
@@ -177,7 +174,7 @@ def eunitary(lo, hi):
 
 def categorical(lo, hi):
     for n in range(lo, hi + 1):
-        table = build_family_table(n, Family.ODP)
+        table = build_table(enumerate_fast(n, Family.ODP))
         holds, witness = is_categorical(table)
         # categorical only while no three-factor product can vanish: n <= 1
         ok = holds if n <= 1 else (not holds and replay_witness(table, witness))

@@ -18,8 +18,8 @@ from .checks import CHECKS, run_check
 from .closed_forms import formula_count_table
 from .errors import ChainIsomError
 from .greens_structure import (
-    build_family_table,
     build_rees_quotient,
+    build_table,
     greens_classes_criterion,
     idempotents,
     is_categorical,
@@ -203,24 +203,22 @@ def cmd_verify(args) -> int:
 
 def cmd_greens(args) -> int:
     fam = Family(args.family)
+    relation = args.classes.upper()
     elements = list(enumerate_fast(args.n, fam, cap=args.cap))
-    classes = greens_classes_criterion(elements, fam, args.classes)
+    partition = greens_classes_criterion(elements, fam, relation)
     if args.format == "json":
         payload = {
             "n": args.n,
             "family": fam.value,
-            "relation": classes.relation,
-            "classes": [
-                [to_json(elements[i]) for i in block] for block in classes.partition
-            ],
+            "relation": relation,
+            "classes": [[to_json(elements[i]) for i in block] for block in partition],
         }
         print(json.dumps(payload, indent=2))
         return EXIT_OK
     print(
-        f"{classes.relation}-classes of {fam.value} on the {args.n}-chain: "
-        f"{len(classes.partition)}"
+        f"{relation}-classes of {fam.value} on the {args.n}-chain: {len(partition)}"
     )
-    for k, block in enumerate(classes.partition):
+    for k, block in enumerate(partition):
         members = " ".join(str(elements[i]) for i in block)
         print(f"[{k}] size {len(block)}: {members}")
     return EXIT_OK
@@ -228,10 +226,10 @@ def cmd_greens(args) -> int:
 
 def cmd_structure(args) -> int:
     fam = Family(args.family)
-    table = build_family_table(args.n, fam, cap=args.cap)
+    table = build_table(enumerate_fast(args.n, fam))
     summaries = [_structure_summary(table, f"{fam.value} n={args.n}")]
     if args.rees_p is not None:
-        quotient = build_rees_quotient(args.n, args.rees_p, cap=args.cap)
+        quotient = build_rees_quotient(args.n, args.rees_p)
         summaries.append(_structure_summary(quotient, f"Q({args.n},{args.rees_p})"))
     if args.format == "json":
         print(json.dumps({"structures": summaries}, indent=2))
@@ -251,8 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cap_default=DEFAULT_ENUMERATION_CAP):
-        p.add_argument("--cap", type=int, default=cap_default,
+    def add_common(p):
+        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                        help="enumeration size cap override")
 
     p = sub.add_parser("enumerate", help="stream all family elements")
@@ -294,7 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rees-p", type=int, default=None,
                    help="also summarise the height-p Rees quotient")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    add_common(p)
     p.set_defaults(func=cmd_structure)
 
     return parser

@@ -94,30 +94,43 @@ def f_fix_dp(n: int, m: int) -> int:
     return _exact_div(25 * 2 ** (n - 1) - (3 * n * n + 9 * n + 10), 3)
 
 
+def _check_chain_size(n: int) -> None:
+    # exact type: a float n would make the order a float, and True would
+    # pass for the chain of size 1
+    if type(n) is not int or n < 0:
+        raise DomainError(f"chain size must be a non-negative int, got {n!r}")
+
+
 def order_odp(n: int) -> int:
     """3 * 2^n - 2(n+1)."""
-    if n < 0:
-        raise DomainError(f"chain size must be non-negative, got {n}")
+    _check_chain_size(n)
     return 3 * 2**n - 2 * (n + 1)
 
 
 def order_dp(n: int) -> int:
     """3 * 2^(n+1) - (n+2)^2 - 1."""
-    if n < 0:
-        raise DomainError(f"chain size must be non-negative, got {n}")
+    _check_chain_size(n)
     return 3 * 2 ** (n + 1) - (n + 2) ** 2 - 1
 
 
+def _by_family(family: Family, dp, odp):
+    if family is Family.DP:
+        return dp
+    if family is Family.ODP:
+        return odp
+    raise DomainError(f"family must be a Family, got {family!r}")
+
+
 def f_height(family: Family, n: int, p: int) -> int:
-    return f_height_dp(n, p) if family is Family.DP else f_height_odp(n, p)
+    return _by_family(family, f_height_dp, f_height_odp)(n, p)
 
 
 def f_fix(family: Family, n: int, m: int) -> int:
-    return f_fix_dp(n, m) if family is Family.DP else f_fix_odp(n, m)
+    return _by_family(family, f_fix_dp, f_fix_odp)(n, m)
 
 
 def family_order(family: Family, n: int) -> int:
-    return order_dp(n) if family is Family.DP else order_odp(n)
+    return _by_family(family, order_dp, order_odp)(n)
 
 
 def verify_sum_identity(n: int) -> bool:

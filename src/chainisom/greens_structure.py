@@ -6,9 +6,12 @@ Two independent routes to the Green's relations are kept side by side:
   equal images for L, both for H, matching gap signatures for D);
 * the oracle route works on a finished multiplication table using nothing
   but principal ideals, with an implicit external identity adjoined so the
-  same code is correct on sub-tables and quotients that lack one.
+  same code is correct on sub-tables and quotients that lack one.  One call
+  returns all four partitions, so a table's associativity is checked once
+  and its principal right and left sets are built once.
 
-The test suite checks that both routes induce identical partitions.
+Both routes return a partition as a tuple of blocks of element indices.
+The ``greens`` check and the test suite check that they are identical.
 
 Tables are immutable after construction and every predicate here only
 reads them, so concurrent use is safe.  Witness searches scan elements in
@@ -31,7 +34,7 @@ from .errors import (
     NotAssociative,
     NotClosed,
 )
-from .isometry_families import DEFAULT_ENUMERATION_CAP, Family, enumerate_fast
+from .isometry_families import Family, enumerate_fast
 
 # Tables are dense k*k index matrices; beyond ~2000 elements they stop
 # being "desk scale" (the 9-chain already has 2950 isometries).
@@ -64,34 +67,9 @@ def element_json(el) -> dict:
 # ---------------------------------------------------------------------------
 # Partitions
 
-@dataclass(frozen=True)
-class GreensClasses:
-    """A partition of element indices under one of R, L, H, D.
-
-    Blocks are sorted internally and listed by their smallest member, so
-    two partitions are equal exactly when the objects compare equal.
-    """
-
-    relation: str
-    partition: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = [i for block in self.partition for i in block]
-        if len(seen) != len(set(seen)):
-            raise DomainError("partition blocks overlap")
-
-    def block_sizes(self) -> list[int]:
-        return [len(block) for block in self.partition]
-
-
-def _norm_relation(relation: str) -> str:
-    rel = str(relation).upper()
-    if rel not in RELATIONS:
-        raise DomainError(f"unknown Green's relation {relation!r}")
-    return rel
-
-
 def _partition_from_keys(keys) -> tuple[tuple[int, ...], ...]:
+    """Group indices by equal key.  Blocks are sorted and listed by their
+    smallest member, so two partitions are equal exactly when the tuples are."""
     blocks = defaultdict(list)
     for i, key in enumerate(keys):
         blocks[key].append(i)
@@ -102,9 +80,14 @@ def _partition_from_keys(keys) -> tuple[tuple[int, ...], ...]:
 
 def greens_classes_criterion(
     elements, family: Family, relation: str
-) -> GreensClasses:
-    """Partition by the direct structural criteria (no table needed)."""
-    rel = _norm_relation(relation)
+) -> tuple[tuple[int, ...], ...]:
+    """Partition by one of R, L, H, D from the direct structural criteria
+    (no table needed)."""
+    if not isinstance(family, Family):
+        raise DomainError(f"family must be a Family, got {family!r}")
+    rel = str(relation).upper()
+    if rel not in RELATIONS:
+        raise DomainError(f"unknown Green's relation {relation!r}")
     elements = list(elements)
     if any(el.n != elements[0].n for el in elements):
         raise MismatchedChain("all elements must live on the same chain")
@@ -121,7 +104,7 @@ def greens_classes_criterion(
             if family is Family.DP:
                 sig = min(sig, sig[::-1])
             keys.append((el.height, sig))
-    return GreensClasses(rel, _partition_from_keys(keys))
+    return _partition_from_keys(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +130,12 @@ class SemigroupTable:
                 self.mult[z][i] != z or self.mult[i][z] != z for i in range(k)
             ):
                 raise DomainError("marked zero is not absorbing")
-        self._associative = None
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def is_associative(self) -> bool:
-        """Light's associativity test, cached; |A|*k^2 steps on first use.
+        """Light's associativity test, in |A|*k^2 steps.
 
         Checks (x g) y = x (g y) for every g in the generating set A of
         :meth:`generators` and all x, y.  The elements a satisfying
@@ -162,9 +144,13 @@ class SemigroupTable:
         is exact on any magma, corrupted tables included (Clifford and
         Preston, *The Algebraic Theory of Semigroups* I, section 1.2).
         """
-        if self._associative is None:
-            self._associative = self._check_associative()
-        return self._associative
+        mult = self.mult
+        for g in self.generators():
+            row_g = mult[g]
+            for row_x in mult:
+                if mult[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
+                    return False
+        return True
 
     def generators(self) -> tuple[int, ...]:
         """A generating set of indices, found greedily from the table alone.
@@ -194,15 +180,6 @@ class SemigroupTable:
                 row = mult[x]
                 frontier.extend(row[h] for h in gens if not reached[row[h]])
         return tuple(gens)
-
-    def _check_associative(self) -> bool:
-        mult = self.mult
-        for g in self.generators():
-            row_g = mult[g]
-            for row_x in mult:
-                if mult[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
-                    return False
-        return True
 
 
 def build_table(elements) -> SemigroupTable:
@@ -241,13 +218,6 @@ def build_table(elements) -> SemigroupTable:
     return SemigroupTable(elements, mult, index.get(()))
 
 
-def build_family_table(
-    n: int, family: Family, cap: int = DEFAULT_ENUMERATION_CAP
-) -> SemigroupTable:
-    """Table of the whole family on the chain of size ``n``."""
-    return build_table(enumerate_fast(n, family, cap=cap))
-
-
 def _principal_right_sets(table: SemigroupTable):
     # aS^1 = {a} | aS; including a itself stands in for the external identity.
     return [frozenset(row) | {a} for a, row in enumerate(table.mult)]
@@ -260,35 +230,20 @@ def _principal_left_sets(table: SemigroupTable):
     ]
 
 
-def _class_ids(keys) -> list[int]:
-    ids: dict = {}
-    out = []
-    for key in keys:
-        out.append(ids.setdefault(key, len(ids)))
-    return out
-
-
-def greens_classes_oracle(table: SemigroupTable, relation: str) -> GreensClasses:
-    """Partition by principal ideals of the multiplication table alone."""
-    rel = _norm_relation(relation)
+def greens_classes_oracle(
+    table: SemigroupTable,
+) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Partition by each of R, L, H, D, keyed by relation, from principal
+    ideals of the multiplication table alone."""
     if not table.is_associative():
         raise NotAssociative("oracle requires an associative table")
-    if rel in ("R", "L"):
-        sets = (
-            _principal_right_sets(table) if rel == "R" else _principal_left_sets(table)
-        )
-        return GreensClasses(rel, _partition_from_keys(sets))
     right = _principal_right_sets(table)
     left = _principal_left_sets(table)
-    if rel == "H":
-        return GreensClasses(rel, _partition_from_keys(list(zip(right, left))))
     # D as the composite of R and L.  The two compositions agree in every
     # semigroup, which the associativity guard above established, so
     # grouping jointly by reachable (R-class, L-class) pairs partitions
     # correctly: two elements are D-related when some element shares its
     # R-class with one and its L-class with the other.
-    r_id = _class_ids(right)
-    l_id = _class_ids(left)
     parent = list(range(len(table)))
 
     def find(x):
@@ -304,10 +259,15 @@ def greens_classes_oracle(table: SemigroupTable, relation: str) -> GreensClasses
 
     first_r: dict = {}
     first_l: dict = {}
-    for a in range(len(table)):
-        union(a, first_r.setdefault(r_id[a], a))
-        union(a, first_l.setdefault(l_id[a], a))
-    return GreensClasses("D", _partition_from_keys([find(a) for a in range(len(table))]))
+    for a, (r, l) in enumerate(zip(right, left)):
+        union(a, first_r.setdefault(r, a))
+        union(a, first_l.setdefault(l, a))
+    return {
+        "R": _partition_from_keys(right),
+        "L": _partition_from_keys(left),
+        "H": _partition_from_keys(zip(right, left)),
+        "D": _partition_from_keys(find(a) for a in range(len(table))),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +365,7 @@ def replay_witness(table: SemigroupTable, witness: Witness) -> bool:
 # ---------------------------------------------------------------------------
 # Ideals and Rees quotients
 
-def build_rees_quotient(
-    n: int, p: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> SemigroupTable:
+def build_rees_quotient(n: int, p: int) -> SemigroupTable:
     """The height-p layer of the order-preserving family with a zero glued on.
 
     Nonzero elements are the height-p members; a product stands when it
@@ -416,7 +374,7 @@ def build_rees_quotient(
     """
     if not 1 <= p <= n:
         raise DomainError(f"need 1 <= p <= n, got p={p}, n={n}")
-    layer = list(enumerate_fast(n, Family.ODP, height=p, cap=cap))
+    layer = list(enumerate_fast(n, Family.ODP, height=p))
     if len(layer) + 1 > TABLE_ELEMENT_CAP:
         raise LimitExceeded(
             f"quotient with {len(layer) + 1} elements exceeds the cap {TABLE_ELEMENT_CAP}"

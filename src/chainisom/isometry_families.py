@@ -116,8 +116,8 @@ def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:
     """
     if not isinstance(family, Family):
         raise DomainError(f"family must be a Family, got {family!r}")
-    if n < 0:
-        raise DomainError(f"chain size must be non-negative, got {n}")
+    if type(n) is not int or n < 0:
+        raise DomainError(f"chain size must be a non-negative int, got {n!r}")
     if n > ORACLE_CAP:
         raise LimitExceeded(f"oracle enumeration is capped at n={ORACLE_CAP}, got {n}")
     return _generate_oracle(n, family)

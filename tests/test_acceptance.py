@@ -114,11 +114,11 @@ def test_criterion_5_greens():
             odp_h = greens_classes_criterion(
                 list(elements(n, Family.ODP)), Family.ODP, "H"
             )
-            assert all(size == 1 for size in odp_h.block_sizes()), n
+            assert all(len(block) == 1 for block in odp_h), n
             dp_h = greens_classes_criterion(
                 list(elements(n, Family.DP)), Family.DP, "H"
             )
-            assert set(dp_h.block_sizes()) <= {1, 2}, n
+            assert {len(block) for block in dp_h} <= {1, 2}, n
 
 
 def test_criterion_6_structure():

@@ -333,6 +333,13 @@ class TestStructure:
         assert entry["categorical"]["holds"] is False
         assert entry["categorical"]["witness"]["kind"] == "not_categorical"
 
+    def test_no_cap_flag(self, capsys):
+        # structure always builds a table, and the table cap refuses dp from
+        # n = 9, so an enumeration cap could only make a run refuse
+        code, _ = run(capsys, "structure", "--n", "3", "--family", "dp",
+                      "--cap", "30")
+        assert code == 2
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -103,6 +103,12 @@ class TestHeightFormulas:
             with pytest.raises(DomainError):
                 fn(-1, 0)
 
+    def test_non_family_rejected(self):
+        # the string "dp" would otherwise get odp's count, 30 where dp has 60
+        assert f_height(Family.DP, 5, 2) == 60
+        with pytest.raises(DomainError):
+            f_height("dp", 5, 2)
+
     def test_dp_doubles_odp_above_height_one(self):
         for n in range(61):
             for p in range(2, n + 1):
@@ -121,6 +127,12 @@ class TestFixFormulas:
         assert f_fix_dp(7, 1) == 106
         assert f_fix_dp(4, 0) == 38
         assert f_fix_dp(6, 1) == 42
+
+    def test_non_family_rejected(self):
+        # the string "dp" would otherwise get odp's count, 23 where dp has 38
+        assert f_fix(Family.DP, 4, 0) == 38
+        with pytest.raises(DomainError):
+            f_fix("dp", 4, 0)
 
     def test_divisibility_up_to_60(self):
         # every branch with a denominator must divide exactly
@@ -150,6 +162,23 @@ class TestOrders:
             order_odp(-1)
         with pytest.raises(DomainError):
             order_dp(-2)
+
+    def test_order_dp_non_int_rejected(self):
+        # a float n would give the float 12.69 at 2.5
+        for n in (2.5, 3.0, True, "3"):
+            with pytest.raises(DomainError):
+                order_dp(n)
+
+    def test_order_odp_non_int_rejected(self):
+        for n in (2.5, 3.0, True, "3"):
+            with pytest.raises(DomainError):
+                order_odp(n)
+
+    def test_family_order_non_family_rejected(self):
+        # the string "dp" would otherwise get odp's order, 84 where dp has 142
+        assert family_order(Family.DP, 5) == 142
+        with pytest.raises(DomainError):
+            family_order("dp", 5)
 
     def test_row_sums_match_orders_up_to_60(self):
         for n in range(61):

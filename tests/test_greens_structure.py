@@ -6,7 +6,6 @@ from chainisom import (
     ADJOINED_ZERO,
     DomainError,
     Family,
-    GreensClasses,
     LimitExceeded,
     MismatchedChain,
     NoZero,
@@ -15,7 +14,6 @@ from chainisom import (
     PartialInjection,
     SemigroupTable,
     Witness,
-    build_family_table,
     build_rees_quotient,
     build_table,
     compose,
@@ -31,7 +29,7 @@ from chainisom import (
     replay_witness,
     witness_to_json,
 )
-from chainisom import checks, greens_structure
+from chainisom import checks, cli, greens_structure
 from chainisom.greens_structure import RELATIONS
 from helpers import associative_exhaustive, elements, rees_table, table
 
@@ -130,7 +128,7 @@ class TestDOrder:
         for fam in BOTH:
             tab = table(4, fam)
             block = next(
-                block for block in greens_classes_oracle(tab, "D").partition
+                block for block in greens_classes_oracle(tab)["D"]
                 if tab.elements.index(a) in block
             )
             assert tab.elements.index(b) in block
@@ -143,7 +141,7 @@ class TestDOrder:
                 ideals = two_sided_ideals(tab)
                 d_class = {}
                 classes = greens_classes_criterion(tab.elements, fam, "D")
-                for cid, block in enumerate(classes.partition):
+                for cid, block in enumerate(classes):
                     d_class.update(dict.fromkeys(block, cid))
                 for a in range(len(tab)):
                     for b in range(len(tab)):
@@ -156,7 +154,7 @@ class TestCriterionPartitions:
     def test_r_classes_of_odp2(self):
         els = list(elements(2, Family.ODP))
         classes = greens_classes_criterion(els, Family.ODP, "R")
-        assert sorted(classes.block_sizes()) == [1, 1, 2, 2]
+        assert sorted(len(block) for block in classes) == [1, 1, 2, 2]
 
     def test_d_class_counts_on_the_4_chain(self):
         # Domain gap profiles among subsets of {1..4}: (), () at height 1,
@@ -164,30 +162,60 @@ class TestCriterionPartitions:
         # maps separate (1,2) from (2,1); allowing reflections merges them.
         odp = greens_classes_criterion(list(elements(4, Family.ODP)), Family.ODP, "D")
         dp = greens_classes_criterion(list(elements(4, Family.DP)), Family.DP, "D")
-        assert len(odp.partition) == 9
-        assert len(dp.partition) == 8
+        assert len(odp) == 9
+        assert len(dp) == 8
 
     def test_h_classes_odp_singletons(self):
         for n in range(7):
             classes = greens_classes_criterion(
                 list(elements(n, Family.ODP)), Family.ODP, "H"
             )
-            assert all(size == 1 for size in classes.block_sizes())
+            assert all(len(block) == 1 for block in classes)
 
     def test_h_classes_dp_at_most_two(self):
         for n in range(7):
             classes = greens_classes_criterion(
                 list(elements(n, Family.DP)), Family.DP, "H"
             )
-            assert set(classes.block_sizes()) <= {1, 2}
+            assert {len(block) for block in classes} <= {1, 2}
 
     def test_unknown_relation(self):
         with pytest.raises(DomainError):
             greens_classes_criterion(list(elements(2, Family.DP)), Family.DP, "J")
 
-    def test_partition_overlap_rejected(self):
+    def test_non_family_rejected(self):
+        # a bare string would otherwise get odp's D criterion: 9 D-classes
+        # for the dp elements of the 4-chain, where dp has 8
         with pytest.raises(DomainError):
-            GreensClasses("R", ((0, 1), (1, 2)))
+            greens_classes_criterion(list(elements(4, Family.DP)), "dp", "D")
+
+
+def assert_well_formed(partition, k):
+    # covers 0..k-1 exactly once, blocks sorted and listed by smallest member
+    assert sorted(i for block in partition for i in block) == list(range(k))
+    assert all(block and list(block) == sorted(block) for block in partition)
+    firsts = [block[0] for block in partition]
+    assert firsts == sorted(firsts)
+
+
+class TestPartitionShape:
+    def test_both_routes_cover_every_index_once(self):
+        for n in range(6):
+            for fam in BOTH:
+                tab = table(n, fam)
+                oracle = greens_classes_oracle(tab)
+                assert tuple(oracle) == RELATIONS
+                for rel in RELATIONS:
+                    assert_well_formed(oracle[rel], len(tab))
+                    crit = greens_classes_criterion(tab.elements, fam, rel)
+                    assert_well_formed(crit, len(tab))
+
+    def test_oracle_covers_rees_quotients(self):
+        for tab in rees_tables(5):
+            oracle = greens_classes_oracle(tab)
+            assert tuple(oracle) == RELATIONS
+            for rel in RELATIONS:
+                assert_well_formed(oracle[rel], len(tab))
 
 
 class TestOracleAgreement:
@@ -196,14 +224,14 @@ class TestOracleAgreement:
             for fam in BOTH:
                 els = list(elements(n, fam))
                 tab = table(n, fam)
+                orc = greens_classes_oracle(tab)
                 for rel in RELATIONS:
                     crit = greens_classes_criterion(els, fam, rel)
-                    orc = greens_classes_oracle(tab, rel)
-                    assert crit.partition == orc.partition, (n, fam, rel)
+                    assert crit == orc[rel], (n, fam, rel)
 
     def test_oracle_h_sizes_dp5(self):
-        classes = greens_classes_oracle(table(5, Family.DP), "H")
-        assert set(classes.block_sizes()) <= {1, 2}
+        classes = greens_classes_oracle(table(5, Family.DP))["H"]
+        assert {len(block) for block in classes} <= {1, 2}
 
     def test_compositions_commute(self):
         # R after L relates the same pairs as L after R in every semigroup;
@@ -227,7 +255,7 @@ class TestOracleAgreement:
                 ideals = two_sided_ideals(tab)
                 j_keys = {}
                 j_ids = [j_keys.setdefault(ideal, len(j_keys)) for ideal in ideals]
-                d_classes = greens_classes_oracle(tab, "D").partition
+                d_classes = greens_classes_oracle(tab)["D"]
                 d_ids = [None] * k
                 for cid, block in enumerate(d_classes):
                     for i in block:
@@ -241,7 +269,40 @@ class TestOracleAgreement:
         bad = SemigroupTable(("x", "y"), ((1, 1), (0, 0)))
         assert not bad.is_associative()
         with pytest.raises(NotAssociative):
-            greens_classes_oracle(bad, "R")
+            greens_classes_oracle(bad)
+
+    def test_one_pass_per_table(self, monkeypatch, capsys):
+        # verify greens checks each table's associativity once and builds
+        # its principal right and left sets once, for all four relations
+        seen = {"assoc": [], "right": [], "left": []}
+
+        def counting(key, fn):
+            def wrapper(tab):
+                seen[key].append(tab)
+                return fn(tab)
+            return wrapper
+
+        monkeypatch.setattr(
+            SemigroupTable, "is_associative",
+            counting("assoc", SemigroupTable.is_associative),
+        )
+        monkeypatch.setattr(
+            greens_structure, "_principal_right_sets",
+            counting("right", greens_structure._principal_right_sets),
+        )
+        monkeypatch.setattr(
+            greens_structure, "_principal_left_sets",
+            counting("left", greens_structure._principal_left_sets),
+        )
+        assert cli.main(["verify", "--check", "greens", "--n-range", "5..5"]) == 0
+        tables = seen["assoc"]
+        assert len(tables) == 2 and tables[0] is not tables[1]
+        assert seen["right"] == tables and seen["left"] == tables
+        # instances still listed in RELATIONS order within each family
+        assert capsys.readouterr().out.splitlines()[:8] == [
+            f"ok n=5 family={fam} relation={rel}"
+            for fam in ("dp", "odp") for rel in RELATIONS
+        ]
 
 
 class TestLightAssociativity:
@@ -324,11 +385,10 @@ class TestBuildTable:
                 read.append(a)
                 yield a
 
-        monkeypatch.setattr(greens_structure, "enumerate_fast", counting_enumerate)
         monkeypatch.setattr(checks, "enumerate_fast", counting_enumerate)
+        monkeypatch.setattr(cli, "enumerate_fast", counting_enumerate)
         for attempt in (
             lambda: build_table(counting_enumerate(16, Family.DP)),
-            lambda: build_family_table(16, Family.DP),
             lambda: checks.run_check("greens", 16, 16),
             lambda: checks.run_check("eunitary", 16, 16),
         ):
@@ -336,6 +396,9 @@ class TestBuildTable:
             with pytest.raises(LimitExceeded):
                 attempt()
             assert len(read) == greens_structure.TABLE_ELEMENT_CAP + 1
+        read.clear()
+        assert cli.main(["structure", "--n", "16", "--family", "dp"]) == 2
+        assert len(read) == greens_structure.TABLE_ELEMENT_CAP + 1
 
     def test_zero_marked(self):
         assert table(3, Family.DP).zero_index == 0
@@ -351,7 +414,7 @@ class TestBuildTable:
             return compose(a, b)
 
         monkeypatch.setattr(greens_structure, "compose", counting_compose)
-        tab = build_family_table(4, Family.DP)
+        tab = build_table(enumerate_fast(4, Family.DP))
         assert len(tab) == 59
         assert len(calls) == len(tab) ** 2
 

@@ -178,6 +178,12 @@ class TestOracleEnumeration:
         with pytest.raises(DomainError):
             enumerate_oracle(3, "odp")
 
+    def test_non_int_chain_size_rejected(self):
+        # as for enumerate_fast; a float would escape as a bare TypeError
+        for n in (2.5, 3.0, True, "3"):
+            with pytest.raises(DomainError):
+                enumerate_oracle(n, Family.DP)
+
 
 class TestCounting:
     def test_height_row(self):
