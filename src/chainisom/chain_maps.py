@@ -9,8 +9,14 @@ this package follow that convention.
 Values are immutable, hashable, and compare structurally (the chain size is
 part of the identity: the same pair list on chains of different sizes gives
 unequal values).  The empty map is legal for every n, including n = 0, and
-acts as a multiplicative zero.  All functions here are pure, so everything
-is safe to share across threads.
+acts as a multiplicative zero.  Every function here depends only on its
+arguments.  One has a side effect: ``compose`` stores its right factor's
+lookup dict on that factor the first time the factor is used, so the k
+uses of a right factor in a k*k table build the dict once.  The memo is not
+a dataclass field, so it changes no field, equality, hash, repr or
+serialized form.  It is never mutated once stored, and two threads racing
+to store it store equal dicts, so values are still safe to share across
+threads.
 
 Every value is validated when it is built, with two exceptions that build
 through ``_trusted`` without re-running the validation, because their
@@ -42,6 +48,10 @@ class PartialInjection:
 
     n: int
     pairs: tuple[tuple[int, int], ...] = ()
+    # compose's memo of dict(pairs) for this value as a right factor; a
+    # class attribute without an annotation, so not a field: it takes no
+    # part in ==, hash, repr or to_json
+    _lookup = None
 
     def __post_init__(self):
         if type(self.n) is not int or self.n < 0:
@@ -120,7 +130,8 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
 
     The result is built without re-validation: both factors were validated
     when they were built, so the composite is already a sorted, injective
-    pair list on the same chain.
+    pair list on the same chain.  The first call with ``b`` as the right
+    factor stores ``dict(b.pairs)`` on ``b``; later calls read it back.
 
     >>> a = make_partial_injection(3, [(1, 1), (2, 2)])
     >>> b = make_partial_injection(3, [(2, 2), (3, 1)])
@@ -129,10 +140,11 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """
     if a.n != b.n:
         raise MismatchedChain(f"cannot compose maps on chains of size {a.n} and {b.n}")
-    lookup = dict(b.pairs)
-    return _trusted(
-        a.n, tuple((x, lookup[y]) for x, y in a.pairs if y in lookup)
-    )
+    lookup = b._lookup
+    if lookup is None:
+        lookup = dict(b.pairs)
+        object.__setattr__(b, "_lookup", lookup)
+    return _trusted(a.n, tuple([(x, lookup[y]) for x, y in a.pairs if y in lookup]))
 
 
 def inverse(a: PartialInjection) -> PartialInjection:

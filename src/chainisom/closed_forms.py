@@ -27,6 +27,10 @@ def _exact_div(numerator: int, denominator: int) -> int:
 
 
 def _check_range(n: int, k: int, what: str) -> None:
+    # exact type, as in _check_chain_size: a float would give a float count
+    # or a false ArithmeticError, and True would pass for 1
+    if type(n) is not int or type(k) is not int:
+        raise DomainError(f"{what} needs int n and k, got n={n!r}, k={k!r}")
     if n < 0 or k < 0 or k > n:
         raise DomainError(f"{what} needs 0 <= k <= n, got n={n}, k={k}")
 

@@ -202,20 +202,18 @@ def build_table(elements) -> SemigroupTable:
     index = {el.pairs: i for i, el in enumerate(elements)}
     if len(index) != len(elements):
         raise DomainError("duplicate elements")
+    find = index.get
     mult = []
     for a in elements:
-        row = []
-        for b in elements:
-            c = compose(a, b)
-            i = index.get(c.pairs)
-            if i is None:
-                raise NotClosed(
-                    f"product {a} * {b} = {c} is outside the element set",
-                    pair=(a, b),
-                )
-            row.append(i)
+        row = [find(compose(a, b).pairs) for b in elements]
+        if None in row:
+            b = elements[row.index(None)]
+            raise NotClosed(
+                f"product {a} * {b} = {compose(a, b)} is outside the element set",
+                pair=(a, b),
+            )
         mult.append(row)
-    return SemigroupTable(elements, mult, index.get(()))
+    return SemigroupTable(elements, mult, find(()))
 
 
 def _principal_right_sets(table: SemigroupTable):
@@ -379,15 +377,12 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
         raise LimitExceeded(
             f"quotient with {len(layer) + 1} elements exceeds the cap {TABLE_ELEMENT_CAP}"
         )
-    index = {el.pairs: i + 1 for i, el in enumerate(layer)}
-    k = len(layer) + 1
-    mult = [[0] * k]
+    # The family is closed under products, so every height-p product is in
+    # the layer; a lower one misses the index and collapses to the zero.
+    find = {el.pairs: i + 1 for i, el in enumerate(layer)}.get
+    mult = [[0] * (len(layer) + 1)]
     for a in layer:
-        row = [0]
-        for b in layer:
-            c = compose(a, b)
-            row.append(index[c.pairs] if c.height == p else 0)
-        mult.append(row)
+        mult.append([0] + [find(compose(a, b).pairs, 0) for b in layer])
     return SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
 
 

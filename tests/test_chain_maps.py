@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -22,7 +23,7 @@ from chainisom import (
     to_text,
 )
 from helpers import elements
-from chainisom import Family
+from chainisom import Family, enumerate_fast
 
 
 def is_partial_identity(a):
@@ -50,6 +51,28 @@ def partial_injections(draw, max_n=10):
 def map_triples(draw, max_n=8):
     n = draw(st.integers(min_value=0, max_value=max_n))
     return _draw_map(draw, n), _draw_map(draw, n), _draw_map(draw, n)
+
+
+@st.composite
+def right_factor_cases(draw, max_n=6):
+    """Left factors and a right factor on one chain whose compose memo is
+    still unset: b is validated, freshly enumerated, or a fresh product."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    source = draw(st.sampled_from(["validated", "enumerate_fast", "compose"]))
+    if source == "validated":
+        b = _draw_map(draw, n)
+    elif source == "enumerate_fast":
+        family = draw(st.sampled_from(list(Family)))
+        b = draw(st.sampled_from(list(enumerate_fast(n, family))))
+    else:
+        b = compose(_draw_map(draw, n), _draw_map(draw, n))
+    lefts = [_draw_map(draw, n) for _ in range(draw(st.integers(1, 4)))]
+    return lefts + [b], b
+
+
+def plain_product(a, b):
+    then = dict(b.pairs)
+    return tuple((x, then[y]) for x, y in a.pairs if y in then)
 
 
 class TestConstruction:
@@ -136,6 +159,33 @@ class TestCompose:
     def test_mismatched_chain(self):
         with pytest.raises(MismatchedChain):
             compose(PartialInjection(3), PartialInjection(4))
+
+    @given(right_factor_cases())
+    def test_memo_matches_plain_lookup(self, case):
+        # compose keeps dict(b.pairs) on b after its first use as a right
+        # factor; every use, first and later, must agree with a fresh dict
+        lefts, b = case
+        assert b._lookup is None
+        for a in lefts + lefts:
+            assert compose(a, b) == PartialInjection(b.n, plain_product(a, b))
+            assert b._lookup == dict(b.pairs)
+
+    @given(right_factor_cases())
+    def test_memo_is_invisible(self, case):
+        lefts, b = case
+        fresh = PartialInjection(b.n, b.pairs)
+        json_before = to_json(b)
+        compose(lefts[0], b)
+        assert b._lookup is not None and fresh._lookup is None
+        assert b == fresh and fresh == b
+        assert hash(b) == hash(fresh)
+        assert repr(b) == repr(fresh)
+        assert to_json(b) == json_before == to_json(fresh)
+        assert [f.name for f in dataclasses.fields(b)] == ["n", "pairs"]
+        with pytest.raises(MismatchedChain):
+            compose(PartialInjection(b.n + 1, lefts[0].pairs), b)
+        with pytest.raises(MismatchedChain):
+            compose(b, PartialInjection(b.n + 1))
 
 
 class TestInverse:

@@ -77,6 +77,9 @@ GOLDEN = {
     ("fix", Family.DP): DP_BY_FIX,
 }
 
+# (n, k) arguments whose type is not exactly int, each otherwise in range
+NON_INT_ARGS = [(2.5, 1), (4.0, 1), (4, 1.0), (True, 1), (4, True), (4, False)]
+
 
 class TestHeightFormulas:
     def test_odp_values(self):
@@ -109,6 +112,22 @@ class TestHeightFormulas:
         with pytest.raises(DomainError):
             f_height("dp", 5, 2)
 
+    def test_f_height_dp_non_int_rejected(self):
+        # 2.5 gave the float 6.25 (through f_height too), True gave 1
+        for n, p in NON_INT_ARGS:
+            with pytest.raises(DomainError):
+                f_height_dp(n, p)
+            with pytest.raises(DomainError):
+                f_height(Family.DP, n, p)
+
+    def test_f_height_odp_non_int_rejected(self):
+        # 2.5 raised a bare TypeError from comb
+        for n, p in NON_INT_ARGS:
+            with pytest.raises(DomainError):
+                f_height_odp(n, p)
+            with pytest.raises(DomainError):
+                f_height(Family.ODP, n, p)
+
     def test_dp_doubles_odp_above_height_one(self):
         for n in range(61):
             for p in range(2, n + 1):
@@ -133,6 +152,22 @@ class TestFixFormulas:
         assert f_fix(Family.DP, 4, 0) == 38
         with pytest.raises(DomainError):
             f_fix("dp", 4, 0)
+
+    def test_f_fix_dp_non_int_rejected(self):
+        # 2.5 raised ArithmeticError, as if a formula were broken
+        for n, m in NON_INT_ARGS:
+            with pytest.raises(DomainError):
+                f_fix_dp(n, m)
+            with pytest.raises(DomainError):
+                f_fix(Family.DP, n, m)
+
+    def test_f_fix_odp_non_int_rejected(self):
+        # a float m raised a bare TypeError from comb
+        for n, m in NON_INT_ARGS:
+            with pytest.raises(DomainError):
+                f_fix_odp(n, m)
+            with pytest.raises(DomainError):
+                f_fix(Family.ODP, n, m)
 
     def test_divisibility_up_to_60(self):
         # every branch with a denominator must divide exactly

@@ -363,6 +363,18 @@ class TestBuildTable:
             build_table([lone])
         assert err.value.pair == (lone, lone)
 
+    def test_not_closed_reports_first_pair(self):
+        # rows 0 and 1 close; row s fails at u and again at w, and row w
+        # fails too: the first failure in row-major order is (s, u)
+        zero, one = PartialInjection(3), partial_identity(3, [1, 2, 3])
+        s = make_partial_injection(3, [(1, 2)])
+        u = make_partial_injection(3, [(2, 3)])
+        w = make_partial_injection(3, [(2, 1)])
+        with pytest.raises(NotClosed) as err:
+            build_table([zero, one, s, u, w])
+        assert err.value.pair == (s, u)
+        assert "(1 / 3)" in str(err.value)
+
     def test_duplicates_rejected(self):
         a = partial_identity(2, [1])
         with pytest.raises(DomainError):
@@ -417,6 +429,19 @@ class TestBuildTable:
         tab = build_table(enumerate_fast(4, Family.DP))
         assert len(tab) == 59
         assert len(calls) == len(tab) ** 2
+
+    def test_one_compose_per_rees_product(self, monkeypatch):
+        calls = []
+
+        def counting_compose(a, b):
+            calls.append((a, b))
+            return compose(a, b)
+
+        monkeypatch.setattr(greens_structure, "compose", counting_compose)
+        layer = list(enumerate_fast(5, Family.ODP, height=2))
+        quotient = build_rees_quotient(5, 2)
+        assert len(quotient) == len(layer) + 1 == 31
+        assert len(calls) == len(layer) ** 2
 
     def test_associative(self):
         for n in range(6):
