@@ -54,23 +54,28 @@ class PartialInjection:
     _lookup = None
 
     def __post_init__(self):
-        if type(self.n) is not int or self.n < 0:
-            raise OutOfRange(f"chain size must be a non-negative integer, got {self.n!r}")
-        pairs = [(x, y) for x, y in self.pairs]
+        n = self.n
+        if type(n) is not int or n < 0:
+            raise OutOfRange(f"chain size must be a non-negative integer, got {n!r}")
+        try:
+            pairs = [(x, y) for x, y in self.pairs]
+        except (TypeError, ValueError):
+            raise OutOfRange(_malformed(self.pairs)) from None
         for x, y in pairs:
             # exact type: no float truncation, string parsing or bool as 0/1
             if type(x) is not int or type(y) is not int:
                 raise OutOfRange(f"pair ({x!r}, {y!r}) is not a pair of integers")
-        pairs = tuple(sorted(pairs))
+        pairs.sort()
         for x, y in pairs:
-            if not (1 <= x <= self.n and 1 <= y <= self.n):
-                raise OutOfRange(f"pair ({x}, {y}) lies outside the chain 1..{self.n}")
-        for (x1, _), (x2, _) in zip(pairs, pairs[1:]):
-            if x1 == x2:
-                raise NotFunctional(f"domain point {x1} is mapped twice")
-        if len({y for _, y in pairs}) != len(pairs):
+            if not (1 <= x <= n and 1 <= y <= n):
+                raise OutOfRange(f"pair ({x}, {y}) lies outside the chain 1..{n}")
+        lookup = dict(pairs)
+        if len(lookup) != len(pairs):
+            x = next(x1 for (x1, _), (x2, _) in zip(pairs, pairs[1:]) if x1 == x2)
+            raise NotFunctional(f"domain point {x} is mapped twice")
+        if len(set(lookup.values())) != len(pairs):
             raise NotInjective("an image point is hit twice")
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     @property
     def height(self) -> int:
@@ -94,13 +99,29 @@ class PartialInjection:
         return to_text(self)
 
 
+def _malformed(pairs) -> str:
+    """Name what in ``pairs`` is not an (x, y) pair: the failure path of the
+    constructor's unpacking, so it may walk ``pairs`` again."""
+    try:
+        entries = iter(pairs)
+    except TypeError:
+        return f"pairs must be an iterable of (x, y) entries, got {pairs!r}"
+    for entry in entries:
+        try:
+            x, y = entry
+        except (TypeError, ValueError):
+            return f"entry {entry!r} is not an (x, y) pair"
+    # a one-shot iterator, already consumed up to and past the bad entry
+    return f"pairs {pairs!r} hold an entry that is not an (x, y) pair"
+
+
 def make_partial_injection(n: int, pairs: Iterable) -> PartialInjection:
     """Validating factory for :class:`PartialInjection`.
 
     >>> make_partial_injection(3, [(2, 2), (3, 1)]).pairs
     ((2, 2), (3, 1))
     """
-    return PartialInjection(n, tuple((x, y) for x, y in pairs))
+    return PartialInjection(n, pairs)
 
 
 def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:

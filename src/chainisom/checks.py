@@ -63,15 +63,29 @@ def _table_witness(table, witness):
     return None if witness is None else witness_to_json(table, witness)
 
 
+def _first_product_outside(elements, fam):
+    """The first (a, b) in row-major order whose product is not a member of
+    ``fam``, or ``None`` when every product is."""
+    # is_member reads only a value's pairs (n and fam are fixed here), so one
+    # verdict per distinct product serves every pair that gives it: a closed
+    # family's k^2 products take only k values.  The first pair whose verdict
+    # is false is still the first failing pair, as with a test per pair.
+    verdicts = {}
+    for a in elements:
+        for b in elements:
+            product = compose(a, b)
+            ok = verdicts.get(product.pairs)
+            if ok is None:
+                ok = verdicts[product.pairs] = is_member(product, fam)
+            if not ok:
+                return a, b
+    return None
+
+
 def closure(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
-            elements = list(enumerate_fast(n, fam))
-            bad = next(
-                ((a, b) for a in elements for b in elements
-                 if not is_member(compose(a, b), fam)),
-                None,
-            )
+            bad = _first_product_outside(list(enumerate_fast(n, fam)), fam)
             witness = (
                 None if bad is None else {"a": to_json(bad[0]), "b": to_json(bad[1])}
             )

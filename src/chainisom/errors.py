@@ -6,7 +6,9 @@ class ChainIsomError(Exception):
 
 
 class OutOfRange(ChainIsomError):
-    """A coordinate lies outside the chain 1..n."""
+    """A chain size, a point or a pair entry is not valid: a point outside
+    the chain 1..n, a value that is not an ``int``, or an entry that is not
+    an (x, y) pair."""
 
 
 class NotFunctional(ChainIsomError):

@@ -2,7 +2,15 @@
 
 from functools import lru_cache
 
-from chainisom import Family, build_rees_quotient, build_table, enumerate_fast
+from chainisom import (
+    Family,
+    NotFunctional,
+    NotInjective,
+    OutOfRange,
+    build_rees_quotient,
+    build_table,
+    enumerate_fast,
+)
 
 
 @lru_cache(maxsize=None)
@@ -32,3 +40,29 @@ def associative_exhaustive(tab) -> bool:
             if mult[row_a[b]] != tuple(map(row_a.__getitem__, row_b)):
                 return False
     return True
+
+
+def validate_reference(n, pairs):
+    """PartialInjection's validation as first written, one pass per check:
+    the oracle for the constructor's rejection contract.
+
+    Returns the canonical pair tuple, or raises the class and message the
+    constructor must raise.  It is defined only for entries that unpack to
+    two values; the constructor rejects other shapes with ``OutOfRange``.
+    """
+    if type(n) is not int or n < 0:
+        raise OutOfRange(f"chain size must be a non-negative integer, got {n!r}")
+    pairs = [(x, y) for x, y in pairs]
+    for x, y in pairs:
+        if type(x) is not int or type(y) is not int:
+            raise OutOfRange(f"pair ({x!r}, {y!r}) is not a pair of integers")
+    pairs = tuple(sorted(pairs))
+    for x, y in pairs:
+        if not (1 <= x <= n and 1 <= y <= n):
+            raise OutOfRange(f"pair ({x}, {y}) lies outside the chain 1..{n}")
+    for (x1, _), (x2, _) in zip(pairs, pairs[1:]):
+        if x1 == x2:
+            raise NotFunctional(f"domain point {x1} is mapped twice")
+    if len({y for _, y in pairs}) != len(pairs):
+        raise NotInjective("an image point is hit twice")
+    return pairs

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chainisom import (
+    ChainIsomError,
     MismatchedChain,
     NotFunctional,
     NotInjective,
@@ -22,7 +23,7 @@ from chainisom import (
     to_json,
     to_text,
 )
-from helpers import elements
+from helpers import elements, validate_reference
 from chainisom import Family, enumerate_fast
 
 
@@ -70,6 +71,24 @@ def right_factor_cases(draw, max_n=6):
     return lefts + [b], b
 
 
+# Points a constructor must sort into valid, out-of-range, repeated and
+# wrongly typed: small ints repeat often on chains of size 0..5.
+_raw_points = st.one_of(
+    st.integers(1, 4),
+    st.integers(-1, 6),
+    st.booleans(),
+    st.sampled_from([2.0, 1.5, "2", None]),
+)
+_raw_pairs = st.lists(
+    st.one_of(
+        st.tuples(_raw_points, _raw_points),
+        st.lists(_raw_points, min_size=2, max_size=2),
+    ),
+    max_size=6,
+)
+_raw_chain_sizes = st.one_of(st.integers(-1, 5), st.sampled_from([True, 3.0]))
+
+
 def plain_product(a, b):
     then = dict(b.pairs)
     return tuple((x, then[y]) for x, y in a.pairs if y in then)
@@ -115,6 +134,52 @@ class TestConstruction:
             PartialInjection(True, ())
         with pytest.raises(OutOfRange):
             PartialInjection(False)
+
+    @given(_raw_chain_sizes, _raw_pairs)
+    def test_rejection_matches_reference(self, n, pairs):
+        # the same pairs, or the same exception class and message, as the
+        # one-pass-per-check validator kept in helpers
+        try:
+            expected = validate_reference(n, pairs)
+        except ChainIsomError as exc:
+            with pytest.raises(ChainIsomError) as got:
+                PartialInjection(n, pairs)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+        else:
+            assert PartialInjection(n, pairs).pairs == expected
+
+    def test_first_out_of_range_pair_in_sorted_order_reported(self):
+        with pytest.raises(OutOfRange, match=r"^pair \(0, 2\) lies outside the chain 1\.\.3$"):
+            PartialInjection(3, [(5, 1), (0, 2)])
+
+    def test_smallest_repeated_domain_point_named(self):
+        with pytest.raises(NotFunctional, match="^domain point 2 is mapped twice$"):
+            PartialInjection(4, [(3, 1), (2, 2), (3, 4), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(1,)], "entry (1,) is not an (x, y) pair"),
+            ([(1, 2), (1, 2, 3)], "entry (1, 2, 3) is not an (x, y) pair"),
+            ("ab", "entry 'a' is not an (x, y) pair"),
+            ([(1, 2), 1], "entry 1 is not an (x, y) pair"),
+            (None, "pairs must be an iterable of (x, y) entries, got None"),
+        ],
+    )
+    def test_malformed_shape_rejected(self, pairs, message):
+        with pytest.raises(OutOfRange) as got:
+            PartialInjection(3, pairs)
+        assert str(got.value) == message
+
+    def test_malformed_entry_of_a_one_shot_iterator_rejected(self):
+        with pytest.raises(OutOfRange, match=r"is not an \(x, y\) pair$"):
+            PartialInjection(3, iter([(1, 2), (3,)]))
+
+    def test_malformed_json_map_rejected(self):
+        with pytest.raises(OutOfRange) as got:
+            from_json({"n": 3, "map": [[1, 2, 3]]})
+        assert str(got.value) == "entry [1, 2, 3] is not an (x, y) pair"
 
     def test_normalisation_sorts_by_domain(self):
         assert PartialInjection(4, [(3, 1), (1, 3)]).pairs == ((1, 3), (3, 1))

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from chainisom import checks
-from chainisom.chain_maps import _trusted, to_json
+from chainisom.chain_maps import _trusted, compose, from_json, to_json
 from chainisom.cli import _compact, main
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
@@ -268,6 +268,63 @@ class TestOracleEquivalenceCatchesFastRouteFaults:
             assert witness["fast"] == at(fast, i)
             assert witness["oracle"] == at(oracle, i)
             assert witness["fast"] != witness["oracle"]
+
+
+class TestClosureCatchesANonMember:
+    """closure must fail a family with a product outside it, even when that
+    product arises from several pairs, with the first such (a, b) in
+    row-major order as its witness."""
+
+    # (2 / 3) on the 4-chain: an isometry, and the product of many dp pairs
+    PRODUCT = ((2, 3),)
+
+    @pytest.fixture
+    def rejecting(self, monkeypatch):
+        real = checks.is_member
+
+        def fake(a, family):
+            if family is Family.DP and a.pairs == self.PRODUCT:
+                return False
+            return real(a, family)
+
+        monkeypatch.setattr(checks, "is_member", fake)
+
+    def test_witness_is_the_first_pair_giving_the_product(self, rejecting):
+        els = list(enumerate_fast(4, Family.DP))
+        giving = [(a, b) for a in els for b in els
+                  if compose(a, b).pairs == self.PRODUCT]
+        assert len(giving) > 1
+        dp, odp = checks.run_check("closure", 4, 4)
+        assert dp["params"] == {"n": 4, "family": "dp"}
+        assert not dp["pass"]
+        assert odp["pass"]
+        a, b = giving[0]
+        assert dp["witness"] == {"a": to_json(a), "b": to_json(b)}
+        replayed = compose(from_json(dp["witness"]["a"]), from_json(dp["witness"]["b"]))
+        assert replayed.pairs == self.PRODUCT
+
+    def test_verify_exits_1(self, rejecting, capsys):
+        code, out = run(capsys, "verify", "--check", "closure", "--n-range", "4..4")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+
+    def test_one_membership_test_per_distinct_product(self, monkeypatch):
+        # is_member reads only a product's pairs, so closure asks it once
+        # per distinct product; a closed family's products are its k
+        # elements (a = a * a^-1 * a), while compose still runs k^2 times
+        calls = {"compose": 0, "is_member": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(checks, "compose", counting("compose", checks.compose))
+        monkeypatch.setattr(checks, "is_member", counting("is_member", checks.is_member))
+        assert all(inst["pass"] for inst in checks.run_check("closure", 4, 4))
+        sizes = [len(list(enumerate_fast(4, fam))) for fam in Family]
+        assert calls == {"compose": sum(k * k for k in sizes), "is_member": sum(sizes)}
 
 
 class TestGreens:
