@@ -161,9 +161,10 @@ class TestConstruction:
         "pairs, message",
         [
             ([(1,)], "entry (1,) is not an (x, y) pair"),
-            ([(1, 2), (1, 2, 3)], "entry (1, 2, 3) is not an (x, y) pair"),
+            ([(1, 2, 3)], "entry (1, 2, 3) is not an (x, y) pair"),
             ("ab", "entry 'a' is not an (x, y) pair"),
-            ([(1, 2), 1], "entry 1 is not an (x, y) pair"),
+            ([1], "entry 1 is not an (x, y) pair"),
+            ([(1, 2), (2, 3, 1)], "entry (2, 3, 1) is not an (x, y) pair"),
             (None, "pairs must be an iterable of (x, y) entries, got None"),
         ],
     )
