@@ -68,8 +68,7 @@ from .greens_structure import (
 from .isometry_families import (
     CountTable,
     Family,
-    count_by_fix,
-    count_by_height,
+    count_by,
     empirical_count_table,
     enumerate_fast,
     enumerate_oracle,

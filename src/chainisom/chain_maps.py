@@ -229,6 +229,12 @@ def to_json(a: PartialInjection) -> dict:
 
 
 def from_json(obj: dict) -> PartialInjection:
+    """Parse the JSON form; :class:`OutOfRange` names what is malformed."""
+    if not isinstance(obj, dict):
+        raise OutOfRange(f"serialized map must be an object, got {obj!r}")
+    for key in ("n", "map"):
+        if key not in obj:
+            raise OutOfRange(f"serialized map {obj!r} has no {key!r} key")
     return make_partial_injection(obj["n"], obj["map"])
 
 

@@ -10,7 +10,9 @@ its first instance lies above n = 0; :func:`run_check` starts the range
 there.
 
 Layer functions are looked up by module-global name when a check runs, so
-a tool that wraps them by patching module attributes sees every call.
+a tool that wraps them by patching module attributes sees every call; the
+one exception is the per-statistic functions, which are read from the
+``STATISTICS`` and ``CLOSED_FORMS`` maps.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from itertools import zip_longest
 
 from .chain_maps import compose, inverse, is_order_preserving, is_order_reversing, to_json
 from .closed_forms import (
-    f_fix,
-    f_height,
+    CLOSED_FORMS,
     phi_bijection_report,
     recurrence_check,
     verify_sum_identity,
@@ -39,9 +40,9 @@ from .greens_structure import (
     witness_to_json,
 )
 from .isometry_families import (
+    STATISTICS,
     Family,
-    count_by_fix,
-    count_by_height,
+    count_by,
     enumerate_fast,
     enumerate_oracle,
     is_member,
@@ -94,7 +95,7 @@ def closure(lo, hi):
 
 def fix_trichotomy(lo, hi):
     def ok(a):
-        return sum(1 for x, y in a.pairs if x == y) in (0, 1, a.height)
+        return STATISTICS["fix"](a) in (0, 1, a.height)
 
     return _first_failures((Family.DP,), lo, hi, ok)
 
@@ -131,11 +132,8 @@ def oracle_equivalence(lo, hi):
 def formulas(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
-            for stat, counter, closed in (
-                ("height", count_by_height, f_height),
-                ("fix", count_by_fix, f_fix),
-            ):
-                empirical = counter(n, fam)
+            for stat, closed in CLOSED_FORMS.items():
+                empirical = count_by(stat, n, fam)
                 formula = [closed(fam, n, k) for k in range(n + 1)]
                 ok = empirical == formula
                 witness = None if ok else {"empirical": empirical, "formula": formula}

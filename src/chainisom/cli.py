@@ -18,6 +18,7 @@ from .checks import CHECKS, run_check
 from .closed_forms import formula_count_table
 from .errors import ChainIsomError
 from .greens_structure import (
+    RELATIONS,
     build_rees_quotient,
     build_table,
     greens_classes_criterion,
@@ -29,6 +30,7 @@ from .greens_structure import (
 )
 from .isometry_families import (
     DEFAULT_ENUMERATION_CAP,
+    STATISTICS,
     Family,
     empirical_count_table,
     enumerate_fast,
@@ -248,6 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "counting tables, Green's structure, and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = [fam.value for fam in Family]
+    relations = [rel.lower() for rel in RELATIONS]
 
     def add_common(p):
         p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
@@ -255,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all family elements")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=["dp", "odp"], required=True)
+    p.add_argument("--family", choices=families, required=True)
     p.add_argument("--height", type=int, default=None,
                    help="restrict to one image size")
     p.add_argument("--format", choices=["text", "jsonl"], default="text")
@@ -263,8 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("table", help="triangle of counts by height or fix")
-    p.add_argument("--family", choices=["dp", "odp"], required=True)
-    p.add_argument("--by", choices=["height", "fix"], required=True)
+    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--by", choices=list(STATISTICS), required=True)
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--empirical", action="store_true",
@@ -280,15 +284,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("greens", help="list Green's classes")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=["dp", "odp"], required=True)
-    p.add_argument("--classes", choices=["r", "l", "h", "d"], required=True)
+    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--classes", choices=relations, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     add_common(p)
     p.set_defaults(func=cmd_greens)
 
     p = sub.add_parser("structure", help="structural property summary")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=["dp", "odp"], required=True)
+    p.add_argument("--family", choices=families, required=True)
     p.add_argument("--rees-p", type=int, default=None,
                    help="also summarise the height-p Rees quotient")
     p.add_argument("--format", choices=["text", "json"], default="text")

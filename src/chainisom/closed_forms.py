@@ -16,7 +16,7 @@ from math import comb
 
 from .chain_maps import PartialInjection, inverse
 from .errors import DomainError
-from .isometry_families import CountTable, Family, enumerate_fast, is_member
+from .isometry_families import CountTable, Family, _check_chain_size, enumerate_fast, is_member
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -98,13 +98,6 @@ def f_fix_dp(n: int, m: int) -> int:
     return _exact_div(25 * 2 ** (n - 1) - (3 * n * n + 9 * n + 10), 3)
 
 
-def _check_chain_size(n: int) -> None:
-    # exact type: a float n would make the order a float, and True would
-    # pass for the chain of size 1
-    if type(n) is not int or n < 0:
-        raise DomainError(f"chain size must be a non-negative int, got {n!r}")
-
-
 def order_odp(n: int) -> int:
     """3 * 2^n - 2(n+1)."""
     _check_chain_size(n)
@@ -133,14 +126,18 @@ def f_fix(family: Family, n: int, m: int) -> int:
     return _by_family(family, f_fix_dp, f_fix_odp)(n, m)
 
 
+# The closed form of each count-table statistic, F(family, n, k).
+CLOSED_FORMS = {"height": f_height, "fix": f_fix}
+
+
 def family_order(family: Family, n: int) -> int:
     return _by_family(family, order_dp, order_odp)(n)
 
 
 def verify_sum_identity(n: int) -> bool:
     """Check sum(p=2..n) (2n-p+1)/(p+1)*C(n,p) == 3*2^n - n^2 - 2n - 3 exactly."""
-    if n < 2:
-        raise DomainError(f"identity needs n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise DomainError(f"identity needs an int n >= 2, got {n!r}")
     lhs = sum(_exact_div((2 * n - p + 1) * comb(n, p), p + 1) for p in range(2, n + 1))
     return lhs == 3 * 2**n - n * n - 2 * n - 3
 
@@ -155,8 +152,8 @@ def recurrence_check(n: int, p: int, family: Family) -> bool:
     F(n-1; p) is taken as 0 when p exceeds n-1, which makes the boundary
     instances total.
     """
-    if not n >= p >= 3:
-        raise DomainError(f"recurrence needs n >= p >= 3, got n={n}, p={p}")
+    if type(n) is not int or type(p) is not int or not n >= p >= 3:
+        raise DomainError(f"recurrence needs int n >= p >= 3, got n={n!r}, p={p!r}")
     return f_height(family, n, p) == _f_height_or_zero(
         family, n - 1, p - 1
     ) + _f_height_or_zero(family, n - 1, p)
@@ -201,8 +198,8 @@ def phi_bijection_report(n: int, p: int) -> dict[str, bool]:
     resulting split of the height-p layer reproduces the two-term
     recurrence.  Needs p >= 2 so the inputs are nonempty.
     """
-    if not 2 <= p <= n:
-        raise DomainError(f"need 2 <= p <= n, got p={p}, n={n}")
+    if type(n) is not int or type(p) is not int or not 2 <= p <= n:
+        raise DomainError(f"need int 2 <= p <= n, got p={p!r}, n={n!r}")
     source = list(enumerate_fast(n - 1, Family.ODP, height=p - 1))
     images = [phi_bijection(a, n) for a in source]
     touching, untouched = [], []
@@ -228,17 +225,12 @@ def formula_count_table(statistic: str, family: Family, max_n: int) -> CountTabl
     The constructor re-checks that every row sums to the family order, so
     building this table exercises the row-sum identities as a side effect.
     """
-    if statistic == "height":
-        rows = tuple(
-            tuple(f_height(family, n, p) for p in range(n + 1))
-            for n in range(max_n + 1)
-        )
-    elif statistic == "fix":
-        rows = tuple(
-            tuple(f_fix(family, n, m) for m in range(n + 1))
-            for n in range(max_n + 1)
-        )
-    else:
+    closed = CLOSED_FORMS.get(statistic) if isinstance(statistic, str) else None
+    if closed is None:
         raise DomainError(f"unknown statistic {statistic!r}")
+    _check_chain_size(max_n)
+    rows = tuple(
+        tuple(closed(family, n, k) for k in range(n + 1)) for n in range(max_n + 1)
+    )
     sums = tuple(family_order(family, n) for n in range(max_n + 1))
     return CountTable(statistic, family, rows, sums)

@@ -7,8 +7,9 @@ class ChainIsomError(Exception):
 
 class OutOfRange(ChainIsomError):
     """A chain size, a point or a pair entry is not valid: a point outside
-    the chain 1..n, a value that is not an ``int``, or an entry that is not
-    an (x, y) pair."""
+    the chain 1..n, a value that is not an ``int``, an entry that is not
+    an (x, y) pair, or a JSON form that is not an object with "n" and
+    "map" keys."""
 
 
 class NotFunctional(ChainIsomError):

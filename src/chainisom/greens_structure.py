@@ -237,34 +237,18 @@ def greens_classes_oracle(
         raise NotAssociative("oracle requires an associative table")
     right = _principal_right_sets(table)
     left = _principal_left_sets(table)
-    # D as the composite of R and L.  The two compositions agree in every
-    # semigroup, which the associativity guard above established, so
-    # grouping jointly by reachable (R-class, L-class) pairs partitions
-    # correctly: two elements are D-related when some element shares its
-    # R-class with one and its L-class with the other.
-    parent = list(range(len(table)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    first_r: dict = {}
-    first_l: dict = {}
-    for a, (r, l) in enumerate(zip(right, left)):
-        union(a, first_r.setdefault(r, a))
-        union(a, first_l.setdefault(l, a))
+    # D = R o L in every semigroup (the guard above checked that this table
+    # is one), so the L-classes an element's R-class meets are exactly the
+    # L-classes of its D-class: that set is a key for D.
+    met = defaultdict(set)  # R-class -> the L-classes it meets
+    for r, l in zip(right, left):
+        met[r].add(l)
+    d_key = {r: frozenset(ls) for r, ls in met.items()}
     return {
         "R": _partition_from_keys(right),
         "L": _partition_from_keys(left),
         "H": _partition_from_keys(zip(right, left)),
-        "D": _partition_from_keys(find(a) for a in range(len(table))),
+        "D": _partition_from_keys(d_key[r] for r in right),
     }
 
 
@@ -370,12 +354,13 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
     keeps height p and collapses to the adjoined zero otherwise (all lower
     heights form an ideal, so this is well defined).  The zero has index 0.
     """
-    if not 1 <= p <= n:
-        raise DomainError(f"need 1 <= p <= n, got p={p}, n={n}")
-    layer = list(enumerate_fast(n, Family.ODP, height=p))
+    if type(n) is not int or type(p) is not int or not 1 <= p <= n:
+        raise DomainError(f"need int 1 <= p <= n, got p={p!r}, n={n!r}")
+    layer = list(islice(enumerate_fast(n, Family.ODP, height=p), TABLE_ELEMENT_CAP))
     if len(layer) + 1 > TABLE_ELEMENT_CAP:
         raise LimitExceeded(
-            f"quotient with {len(layer) + 1} elements exceeds the cap {TABLE_ELEMENT_CAP}"
+            f"quotient over {TABLE_ELEMENT_CAP + 1} or more elements exceeds "
+            f"the cap {TABLE_ELEMENT_CAP}"
         )
     # The family is closed under products, so every height-p product is in
     # the layer; a lower one misses the index and collapses to the zero.

@@ -55,6 +55,13 @@ def is_member(a: PartialInjection, family: Family) -> bool:
     raise DomainError(f"family must be a Family, got {family!r}")
 
 
+def _check_chain_size(n: int) -> None:
+    # exact type: a float n would reach range() or a closed form, and True
+    # would pass for the chain of size 1
+    if type(n) is not int or n < 0:
+        raise DomainError(f"chain size must be a non-negative int, got {n!r}")
+
+
 def enumerate_fast(
     n: int,
     family: Family,
@@ -116,8 +123,7 @@ def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:
     """
     if not isinstance(family, Family):
         raise DomainError(f"family must be a Family, got {family!r}")
-    if type(n) is not int or n < 0:
-        raise DomainError(f"chain size must be a non-negative int, got {n!r}")
+    _check_chain_size(n)
     if n > ORACLE_CAP:
         raise LimitExceeded(f"oracle enumeration is capped at n={ORACLE_CAP}, got {n}")
     return _generate_oracle(n, family)
@@ -133,23 +139,34 @@ def _generate_oracle(n, family):
                     yield a
 
 
-def count_by_height(
-    n: int, family: Family, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[int]:
-    """Exact element counts indexed by image size, 0..n."""
-    counts = [0] * (n + 1)
-    for a in enumerate_fast(n, family, cap=cap):
-        counts[a.height] += 1
-    return counts
+# The statistics a count table can be taken by, each with how it is read
+# off an element; rows of a table are indexed by its value, 0..n.
+STATISTICS = {
+    "height": lambda a: a.height,
+    "fix": lambda a: sum(1 for x, y in a.pairs if x == y),
+}
 
 
-def count_by_fix(
-    n: int, family: Family, cap: int = DEFAULT_ENUMERATION_CAP
+def _statistic(name):
+    read = STATISTICS.get(name) if isinstance(name, str) else None
+    if read is None:
+        raise DomainError(f"unknown statistic {name!r}")
+    return read
+
+
+def count_by(
+    statistic: str, n: int, family: Family, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[int]:
-    """Exact element counts indexed by number of fixed points, 0..n."""
+    """Exact element counts indexed by the value of ``statistic``, 0..n.
+
+    >>> count_by("height", 4, Family.ODP)
+    [1, 16, 14, 6, 1]
+    """
+    read = _statistic(statistic)
+    elements = enumerate_fast(n, family, cap=cap)  # rejects a bad n first
     counts = [0] * (n + 1)
-    for a in enumerate_fast(n, family, cap=cap):
-        counts[sum(1 for x, y in a.pairs if x == y)] += 1
+    for a in elements:
+        counts[read(a)] += 1
     return counts
 
 
@@ -157,8 +174,8 @@ def count_by_fix(
 class CountTable:
     """Triangle of counts F(n; k) for n = 0..max_n plus row sums.
 
-    ``statistic`` is "height" or "fix"; ``rows[n][k]`` counts the elements
-    with that statistic equal to k.
+    ``statistic`` is a key of :data:`STATISTICS`; ``rows[n][k]`` counts the
+    elements with that statistic equal to k.
     """
 
     statistic: str
@@ -167,8 +184,7 @@ class CountTable:
     row_sums: tuple[int, ...]
 
     def __post_init__(self):
-        if self.statistic not in ("height", "fix"):
-            raise DomainError(f"unknown statistic {self.statistic!r}")
+        _statistic(self.statistic)
         if not self.rows:
             raise DomainError("a count table needs at least the row n = 0")
         if len(self.rows) != len(self.row_sums):
@@ -187,8 +203,6 @@ def empirical_count_table(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CountTable:
     """Count table obtained by enumeration (no closed forms involved)."""
-    counter = {"height": count_by_height, "fix": count_by_fix}.get(statistic)
-    if counter is None:
-        raise DomainError(f"unknown statistic {statistic!r}")
-    rows = tuple(tuple(counter(n, family, cap=cap)) for n in range(max_n + 1))
+    _check_chain_size(max_n)
+    rows = tuple(tuple(count_by(statistic, n, family, cap)) for n in range(max_n + 1))
     return CountTable(statistic, family, rows, tuple(sum(r) for r in rows))

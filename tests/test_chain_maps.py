@@ -181,6 +181,16 @@ class TestConstruction:
         with pytest.raises(OutOfRange) as got:
             from_json({"n": 3, "map": [[1, 2, 3]]})
         assert str(got.value) == "entry [1, 2, 3] is not an (x, y) pair"
+        # unchecked, a missing key or a non-object would raise KeyError or
+        # TypeError
+        for obj, message in (
+            ({"n": 3}, "serialized map {'n': 3} has no 'map' key"),
+            ([1], "serialized map must be an object, got [1]"),
+            (None, "serialized map must be an object, got None"),
+        ):
+            with pytest.raises(OutOfRange) as got:
+                from_json(obj)
+            assert str(got.value) == message
 
     def test_normalisation_sorts_by_domain(self):
         assert PartialInjection(4, [(3, 1), (1, 3)]).pairs == ((1, 3), (3, 1))

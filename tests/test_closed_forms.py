@@ -3,8 +3,9 @@ import pytest
 from chainisom import (
     DomainError,
     Family,
-    count_by_fix,
-    count_by_height,
+    build_rees_quotient,
+    count_by,
+    empirical_count_table,
     enumerate_fast,
     f_fix,
     f_fix_dp,
@@ -209,6 +210,22 @@ class TestOrders:
             with pytest.raises(DomainError):
                 order_odp(n)
 
+    def test_non_int_arguments_rejected(self):
+        # unchecked, each would raise a bare TypeError from a comparison,
+        # range() or a list size
+        for fn, args in (
+            (verify_sum_identity, (2.0,)),
+            (verify_sum_identity, ("3",)),
+            (recurrence_check, ("5", 3, Family.DP)),
+            (phi_bijection_report, ("5", 3)),
+            (build_rees_quotient, ("4", 2)),
+            (empirical_count_table, ("height", Family.DP, 2.0)),
+            (formula_count_table, ("height", Family.DP, 2.0)),
+            (count_by, ("height", 2.0, Family.DP)),
+        ):
+            with pytest.raises(DomainError):
+                fn(*args)
+
     def test_family_order_non_family_rejected(self):
         # the string "dp" would otherwise get odp's order, 84 where dp has 142
         assert family_order(Family.DP, 5) == 142
@@ -234,10 +251,10 @@ class TestGoldenTables:
     def test_formulas_match_enumeration_up_to_10(self):
         for n in range(11):
             for fam in BOTH:
-                assert count_by_height(n, fam) == [
+                assert count_by("height", n, fam) == [
                     f_height(fam, n, p) for p in range(n + 1)
                 ]
-                assert count_by_fix(n, fam) == [
+                assert count_by("fix", n, fam) == [
                     f_fix(fam, n, m) for m in range(n + 1)
                 ]
                 assert sum(1 for _ in enumerate_fast(n, fam)) == family_order(fam, n)

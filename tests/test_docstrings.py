@@ -1,15 +1,30 @@
 import doctest
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
-from chainisom import chain_maps
+import pytest
+
+import chainisom
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# the package and every module in it; __main__ runs the command line on import
+MODULES = ["chainisom"] + [
+    f"chainisom.{m.name}"
+    for m in pkgutil.iter_modules(chainisom.__path__)
+    if m.name != "__main__"
+]
 
-def test_chain_maps_doctests():
-    failures, tried = doctest.testmod(chain_maps)
-    assert tried > 0
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module(name)
+    failures, tried = doctest.testmod(module)
+    # a module whose docstrings show examples must have run them
+    assert tried >= (">>>" in inspect.getsource(module))
     assert failures == 0
 
 

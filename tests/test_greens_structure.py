@@ -607,6 +607,21 @@ class TestReesQuotient:
         with pytest.raises(DomainError):
             build_rees_quotient(4, 5)
 
+    def test_size_cap_refuses_before_enumerating_the_layer(self, monkeypatch):
+        # odp's height-10 layer on the 20-chain has 520,676 elements; with
+        # the adjoined zero, cap layer elements already exceed the cap
+        read = []
+
+        def counting_enumerate(*args, **kwargs):
+            for a in enumerate_fast(*args, **kwargs):
+                read.append(a)
+                yield a
+
+        monkeypatch.setattr(greens_structure, "enumerate_fast", counting_enumerate)
+        with pytest.raises(LimitExceeded):
+            build_rees_quotient(20, 10)
+        assert len(read) == greens_structure.TABLE_ELEMENT_CAP
+
 
 class TestExports:
     def test_witness_json(self):

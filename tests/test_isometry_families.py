@@ -6,8 +6,7 @@ from chainisom import (
     Family,
     LimitExceeded,
     PartialInjection,
-    count_by_fix,
-    count_by_height,
+    count_by,
     empirical_count_table,
     enumerate_fast,
     enumerate_oracle,
@@ -187,10 +186,10 @@ class TestOracleEnumeration:
 
 class TestCounting:
     def test_height_row(self):
-        assert count_by_height(4, Family.ODP) == [1, 16, 14, 6, 1]
+        assert count_by("height", 4, Family.ODP) == [1, 16, 14, 6, 1]
 
     def test_fix_row(self):
-        assert count_by_fix(7, Family.DP) == [460, 106, 21, 35, 35, 21, 7, 1]
+        assert count_by("fix", 7, Family.DP) == [460, 106, 21, 35, 35, 21, 7, 1]
 
     def test_order(self):
         assert sum(1 for _ in enumerate_fast(6, Family.DP)) == 319
@@ -199,8 +198,8 @@ class TestCounting:
         for n in range(13):
             for fam in BOTH:
                 total = sum(1 for _ in enumerate_fast(n, fam))
-                assert sum(count_by_height(n, fam)) == total
-                assert sum(count_by_fix(n, fam)) == total
+                assert sum(count_by("height", n, fam)) == total
+                assert sum(count_by("fix", n, fam)) == total
 
 
 class TestCountTable:
@@ -222,3 +221,7 @@ class TestCountTable:
             CountTable("height", Family.DP, (), ())
         with pytest.raises(DomainError):
             empirical_count_table("weight", Family.DP, 3)
+        with pytest.raises(DomainError):
+            count_by("weight", 3, Family.DP)
+        with pytest.raises(DomainError):
+            CountTable(["height"], Family.DP, ((1,),), (1,))
