@@ -20,13 +20,23 @@ element sources are provided:
   assert that both sources agree element for element.
 
 Both return generators and emit elements in canonical order (height, then
-domain, then images in domain order), so counting at the default cap never
-materialises the full family.  Enumeration is pure and partitionable:
-distinct generators share no state.
+domain, then images in domain order).  Enumeration is pure and
+partitionable: distinct generators share no state.
+
+:func:`count_by` counts the family by a statistic without building any
+element.  It walks the same domain subsets as :func:`enumerate_fast` and
+tallies the maps on each by arithmetic.  A domain with extremes lo < hi
+(or a single point, lo = hi) carries n - (hi - lo) translations, and for
+DP with at least two points as many reflections.  The translation by 0
+fixes every domain point and the other translations fix none.  The
+reflection x -> c - x fixes x exactly when c = 2x, and c runs over
+hi+1..n+lo, so the reflections that fix a point (one each) are those for
+the domain points x with hi < 2x <= n + lo.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, permutations
@@ -62,6 +72,28 @@ def _check_chain_size(n: int) -> None:
         raise DomainError(f"chain size must be a non-negative int, got {n!r}")
 
 
+def _check_request(n, family, height=None, cap=DEFAULT_ENUMERATION_CAP):
+    """The argument checks of :func:`enumerate_fast` and :func:`count_by`,
+    made before either walks the family."""
+    if not isinstance(family, Family):
+        raise DomainError(f"family must be a Family, got {family!r}")
+    # exact type, as for PartialInjection's chain size: the elements are
+    # built unvalidated, so a bool or float n would reach them unchecked,
+    # and a bool or float cap would pass for a number it is not
+    if type(n) is not int or (height is not None and type(height) is not int):
+        raise DomainError(
+            f"chain size and height must be integers, got n={n!r}, height={height!r}"
+        )
+    if type(cap) is not int:
+        raise DomainError(f"cap must be an int, got {cap!r}")
+    if n < 0:
+        raise DomainError(f"chain size must be non-negative, got {n}")
+    if n > cap:
+        raise LimitExceeded(f"enumeration at n={n} exceeds the cap {cap}")
+    if height is not None and not 0 <= height <= n:
+        raise DomainError(f"need 0 <= height <= n, got height={height}, n={n}")
+
+
 def enumerate_fast(
     n: int,
     family: Family,
@@ -71,26 +103,13 @@ def enumerate_fast(
     """Stream the family on the chain of size ``n``, each element once.
 
     ``family`` must be a :class:`Family` (the string "dp" is not one),
-    ``n`` and ``height`` must be of type ``int`` exactly, and ``height``
-    restricts the stream to one image size, which must lie in 0..n
-    (:class:`DomainError` otherwise).  ``cap`` guards against runaway
+    ``n``, ``height`` and ``cap`` must be of type ``int`` exactly, and
+    ``height`` restricts the stream to one image size, which must lie in
+    0..n (:class:`DomainError` otherwise).  ``cap`` guards against runaway
     enumerations (the family grows like 3 * 2^n); pass a larger value
     explicitly to go beyond the default.
     """
-    if not isinstance(family, Family):
-        raise DomainError(f"family must be a Family, got {family!r}")
-    # exact type, as for PartialInjection's chain size: the elements are
-    # built unvalidated, so a bool or float n would reach them unchecked
-    if type(n) is not int or (height is not None and type(height) is not int):
-        raise DomainError(
-            f"chain size and height must be integers, got n={n!r}, height={height!r}"
-        )
-    if n < 0:
-        raise DomainError(f"chain size must be non-negative, got {n}")
-    if n > cap:
-        raise LimitExceeded(f"enumeration at n={n} exceeds the cap {cap}")
-    if height is not None and not 0 <= height <= n:
-        raise DomainError(f"need 0 <= height <= n, got height={height}, n={n}")
+    _check_request(n, family, height, cap)
     return _generate(n, family, height)
 
 
@@ -139,19 +158,37 @@ def _generate_oracle(n, family):
                     yield a
 
 
-# The statistics a count table can be taken by, each with how it is read
-# off an element; rows of a table are indexed by its value, 0..n.
-STATISTICS = {
-    "height": lambda a: a.height,
-    "fix": lambda a: sum(1 for x, y in a.pairs if x == y),
-}
+def _tally_height(counts, n, dom, reflect):
+    shifts = n - dom[-1] + dom[0]
+    counts[len(dom)] += 2 * shifts if reflect else shifts
+
+
+def _tally_fix(counts, n, dom, reflect):
+    lo, hi = dom[0], dom[-1]
+    shifts = n - hi + lo
+    # the translation by 0 fixes all of dom, the other shifts nothing
+    counts[len(dom)] += 1
+    counts[0] += shifts - 1
+    if reflect:
+        # one reflection fixes x for each x in dom with hi < 2x <= n + lo
+        fixing = bisect_right(dom, (n + lo) // 2) - bisect_right(dom, hi // 2)
+        counts[1] += fixing
+        counts[0] += shifts - fixing
+
+
+# The statistics a count table can be taken by, each with its tally: given
+# one domain subset of the chain, ``tally(counts, n, dom, reflect)`` adds
+# the maps on that domain to ``counts``, indexed by the statistic's value
+# 0..n.  ``reflect`` says whether the reflections count as well as the
+# translations.
+STATISTICS = {"height": _tally_height, "fix": _tally_fix}
 
 
 def _statistic(name):
-    read = STATISTICS.get(name) if isinstance(name, str) else None
-    if read is None:
+    tally = STATISTICS.get(name) if isinstance(name, str) else None
+    if tally is None:
         raise DomainError(f"unknown statistic {name!r}")
-    return read
+    return tally
 
 
 def count_by(
@@ -159,14 +196,20 @@ def count_by(
 ) -> list[int]:
     """Exact element counts indexed by the value of ``statistic``, 0..n.
 
+    No element is built; the arguments are checked as by
+    :func:`enumerate_fast`, and ``cap`` bounds ``n`` in the same way.
+
     >>> count_by("height", 4, Family.ODP)
     [1, 16, 14, 6, 1]
     """
-    read = _statistic(statistic)
-    elements = enumerate_fast(n, family, cap=cap)  # rejects a bad n first
+    tally = _statistic(statistic)
+    _check_request(n, family, cap=cap)
     counts = [0] * (n + 1)
-    for a in elements:
-        counts[read(a)] += 1
+    counts[0] = 1  # the empty map: height 0, no fixed point
+    for h in range(1, n + 1):
+        reflect = family is Family.DP and h >= 2
+        for dom in combinations(range(1, n + 1), h):
+            tally(counts, n, dom, reflect)
     return counts
 
 

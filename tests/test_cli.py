@@ -3,11 +3,12 @@ import json
 
 import pytest
 
-from chainisom import checks
+from chainisom import checks, closed_forms
 from chainisom.chain_maps import _trusted, compose, from_json, to_json
 from chainisom.cli import _compact, main
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
+from helpers import count_by_reference
 from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
 
 
@@ -325,6 +326,74 @@ class TestClosureCatchesANonMember:
         assert all(inst["pass"] for inst in checks.run_check("closure", 4, 4))
         sizes = [len(list(enumerate_fast(4, fam))) for fam in Family]
         assert calls == {"compose": sum(k * k for k in sizes), "is_member": sum(sizes)}
+
+
+def _first_fail_witness(out):
+    line = next(line for line in out.splitlines() if line.startswith("FAIL "))
+    return json.loads(line.split(" witness=", 1)[1])
+
+
+class TestFormulasCatchesAWrongBranch:
+    """formulas must fail when one branch of a closed form is off by one,
+    with the empirical and formula rows as its witness, differing exactly
+    at the entry that branch gives."""
+
+    @pytest.fixture
+    def off_by_one(self, monkeypatch):
+        real = closed_forms.CLOSED_FORMS["fix"]
+
+        def fake(family, n, m):
+            # f_fix_dp's m = 1 branch, one too high
+            return real(family, n, m) + (family is Family.DP and m == 1)
+
+        monkeypatch.setitem(closed_forms.CLOSED_FORMS, "fix", fake)
+
+    def test_verify_exits_1_with_witness(self, off_by_one, capsys):
+        code, out = run(capsys, "verify", "--check", "formulas", "--n-range", "3..3")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+        assert "FAIL n=3 family=dp statistic=fix witness=" in out
+        assert out.count("FAIL n=") == 1
+        witness = _first_fail_witness(out)
+        assert set(witness) == {"empirical", "formula"}
+        empirical, formula = witness["empirical"], witness["formula"]
+        assert empirical == count_by_reference("fix", 3, Family.DP)
+        assert [m for m in range(4) if empirical[m] != formula[m]] == [1]
+        assert formula[1] == empirical[1] + 1
+
+
+class TestPhiBijectionCatchesACollision:
+    """phi-bijection must fail when two inputs share an image, with the
+    report as its witness."""
+
+    N, P = 4, 3
+
+    @pytest.fixture
+    def colliding(self, monkeypatch):
+        real = closed_forms.phi_bijection
+        first, second = list(enumerate_fast(self.N - 1, Family.ODP, height=self.P - 1))[:2]
+
+        def fake(a, n):
+            return real(first if a == second else a, n)
+
+        monkeypatch.setattr(closed_forms, "phi_bijection", fake)
+        return first, second
+
+    def test_report_says_not_injective(self, colliding):
+        first, second = colliding
+        assert closed_forms.phi_bijection(first, self.N) == closed_forms.phi_bijection(
+            second, self.N)
+        report = closed_forms.phi_bijection_report(self.N, self.P)
+        assert report["injective"] is False
+        assert report["image_exact"] is False  # one touching element is missed
+
+    def test_verify_exits_1_with_report(self, colliding, capsys):
+        code, out = run(capsys, "verify", "--check", "phi-bijection",
+                        "--n-range", f"{self.N}..{self.N}")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+        assert out.splitlines()[0].startswith(f"FAIL n={self.N} p={self.P} witness=")
+        assert _first_fail_witness(out) == closed_forms.phi_bijection_report(self.N, self.P)
 
 
 class TestGreens:

@@ -14,7 +14,9 @@ from chainisom import (
     is_member,
     make_partial_injection,
 )
-from helpers import elements
+from chainisom import isometry_families
+from chainisom.isometry_families import STATISTICS
+from helpers import count_by_reference, elements
 
 BOTH = (Family.DP, Family.ODP)
 
@@ -200,6 +202,88 @@ class TestCounting:
                 total = sum(1 for _ in enumerate_fast(n, fam))
                 assert sum(count_by("height", n, fam)) == total
                 assert sum(count_by("fix", n, fam)) == total
+
+
+def _fix_without_reflection_fixes(counts, n, dom, reflect):
+    # the fix tally with its reflection branch dropped: every reflection is
+    # counted as fixing nothing
+    shifts = n - dom[-1] + dom[0]
+    counts[len(dom)] += 1
+    counts[0] += (2 * shifts if reflect else shifts) - 1
+
+
+class TestCountWalk:
+    """count_by tallies the maps on each domain subset without building
+    them; the element-by-element counts of helpers are its oracle."""
+
+    def test_matches_reference_up_to_12(self):
+        for n in range(13):
+            for fam in BOTH:
+                for stat in STATISTICS:
+                    assert count_by(stat, n, fam) == count_by_reference(stat, n, fam), (
+                        stat, n, fam)
+
+    def test_dp_fix_matches_reference_at_14(self):
+        assert count_by("fix", 14, Family.DP) == count_by_reference("fix", 14, Family.DP)
+
+    def test_dropped_reflection_branch_is_caught(self, monkeypatch):
+        # dp has reflections with a fixed point from n = 2 on (the swap of 1
+        # and 3 fixes 2 at n = 3), so a walk that never counts them must
+        # disagree with the reference
+        monkeypatch.setitem(STATISTICS, "fix", _fix_without_reflection_fixes)
+        wrong = [n for n in range(13)
+                 if count_by("fix", n, Family.DP) != count_by_reference("fix", n, Family.DP)]
+        assert wrong == list(range(3, 13))
+        assert count_by("fix", 12, Family.ODP) == count_by_reference("fix", 12, Family.ODP)
+
+    def test_builds_no_element(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("count_by built an element")
+
+        monkeypatch.setattr(isometry_families, "_trusted", refuse)
+        monkeypatch.setattr(isometry_families, "PartialInjection", refuse)
+        assert sum(count_by("height", 8, Family.DP)) == 1435
+
+    def test_argument_errors(self):
+        # as for enumerate_fast, whose checks count_by shares
+        for args in (
+            ("fix", 3, "dp"),
+            ("fix", -1, Family.DP),
+            ("fix", 3.0, Family.DP),
+            ("fix", True, Family.DP),
+            ("weight", 3, Family.DP),
+            (["fix"], 3, Family.DP),
+        ):
+            with pytest.raises(DomainError):
+                count_by(*args)
+        with pytest.raises(LimitExceeded):
+            count_by("fix", 21, Family.DP)
+        with pytest.raises(LimitExceeded):
+            count_by("fix", 5, Family.DP, cap=4)
+        assert count_by("fix", 5, Family.DP, cap=5) == count_by("fix", 5, Family.DP)
+
+
+class TestCapChecked:
+    """A cap that is not exactly an int is refused at the boundary: None
+    and "9" would escape as a bare TypeError, True would act as 1 and 2.5
+    would be accepted."""
+
+    BAD_CAPS = (None, "9", True, 2.5, 9.0)
+
+    def test_enumerate_fast(self):
+        for cap in self.BAD_CAPS:
+            with pytest.raises(DomainError, match="cap"):
+                enumerate_fast(3, Family.DP, cap=cap)
+
+    def test_count_by(self):
+        for cap in self.BAD_CAPS:
+            with pytest.raises(DomainError, match="cap"):
+                count_by("fix", 3, Family.DP, cap=cap)
+
+    def test_empirical_count_table(self):
+        for cap in self.BAD_CAPS:
+            with pytest.raises(DomainError, match="cap"):
+                empirical_count_table("height", Family.ODP, 3, cap=cap)
 
 
 class TestCountTable:
