@@ -126,7 +126,8 @@ def f_fix(family: Family, n: int, m: int) -> int:
     return _by_family(family, f_fix_dp, f_fix_odp)(n, m)
 
 
-# The closed form of each count-table statistic, F(family, n, k).
+# The closed form of each count-table statistic, F(family, n, k), under
+# the statistic's name in isometry_families.STATISTICS.
 CLOSED_FORMS = {"height": f_height, "fix": f_fix}
 
 

@@ -25,13 +25,13 @@ partitionable: distinct generators share no state.
 
 :func:`count_by` counts the family by a statistic without building any
 element.  It walks the same domain subsets as :func:`enumerate_fast` and
-tallies the maps on each by arithmetic.  A domain with extremes lo < hi
-(or a single point, lo = hi) carries n - (hi - lo) translations, and for
-DP with at least two points as many reflections.  The translation by 0
-fixes every domain point and the other translations fix none.  The
-reflection x -> c - x fixes x exactly when c = 2x, and c runs over
-hi+1..n+lo, so the reflections that fix a point (one each) are those for
-the domain points x with hi < 2x <= n + lo.
+tallies the maps on each by arithmetic.  A domain with extremes lo <= hi
+carries n - (hi - lo) translations, and for DP with at least two points
+as many reflections.  The translation by 0 fixes every domain point and
+the other translations fix none.  The reflection x -> c - x fixes x
+exactly when c = 2x, and c runs over hi+1..n+lo, so the reflections that
+fix a point (one each) are those for the domain points x with
+hi < 2x <= n + lo.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def _check_chain_size(n: int) -> None:
         raise DomainError(f"chain size must be a non-negative int, got {n!r}")
 
 
-def _check_request(n, family, height=None, cap=DEFAULT_ENUMERATION_CAP):
+def _check_request(n, family, height, cap):
     """The argument checks of :func:`enumerate_fast` and :func:`count_by`,
     made before either walks the family."""
     if not isinstance(family, Family):
@@ -203,7 +203,7 @@ def count_by(
     [1, 16, 14, 6, 1]
     """
     tally = _statistic(statistic)
-    _check_request(n, family, cap=cap)
+    _check_request(n, family, None, cap)
     counts = [0] * (n + 1)
     counts[0] = 1  # the empty map: height 0, no fixed point
     for h in range(1, n + 1):
@@ -245,7 +245,8 @@ def empirical_count_table(
     max_n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CountTable:
-    """Count table obtained by enumeration (no closed forms involved)."""
+    """Count table obtained by counting the maps with :func:`count_by` (no
+    closed forms involved)."""
     _check_chain_size(max_n)
     rows = tuple(tuple(count_by(statistic, n, family, cap)) for n in range(max_n + 1))
     return CountTable(statistic, family, rows, tuple(sum(r) for r in rows))

@@ -227,9 +227,9 @@ class TestCountWalk:
         assert count_by("fix", 14, Family.DP) == count_by_reference("fix", 14, Family.DP)
 
     def test_dropped_reflection_branch_is_caught(self, monkeypatch):
-        # dp has reflections with a fixed point from n = 2 on (the swap of 1
-        # and 3 fixes 2 at n = 3), so a walk that never counts them must
-        # disagree with the reference
+        # dp has reflections with a fixed point from n = 3 on (x -> 4 - x on
+        # {1, 2, 3} fixes 2), so a walk that never counts them must disagree
+        # with the reference there
         monkeypatch.setitem(STATISTICS, "fix", _fix_without_reflection_fixes)
         wrong = [n for n in range(13)
                  if count_by("fix", n, Family.DP) != count_by_reference("fix", n, Family.DP)]
@@ -262,28 +262,17 @@ class TestCountWalk:
             count_by("fix", 5, Family.DP, cap=4)
         assert count_by("fix", 5, Family.DP, cap=5) == count_by("fix", 5, Family.DP)
 
-
-class TestCapChecked:
-    """A cap that is not exactly an int is refused at the boundary: None
-    and "9" would escape as a bare TypeError, True would act as 1 and 2.5
-    would be accepted."""
-
-    BAD_CAPS = (None, "9", True, 2.5, 9.0)
-
-    def test_enumerate_fast(self):
-        for cap in self.BAD_CAPS:
-            with pytest.raises(DomainError, match="cap"):
-                enumerate_fast(3, Family.DP, cap=cap)
-
-    def test_count_by(self):
-        for cap in self.BAD_CAPS:
-            with pytest.raises(DomainError, match="cap"):
-                count_by("fix", 3, Family.DP, cap=cap)
-
-    def test_empirical_count_table(self):
-        for cap in self.BAD_CAPS:
-            with pytest.raises(DomainError, match="cap"):
-                empirical_count_table("height", Family.ODP, 3, cap=cap)
+    def test_cap_must_be_an_int(self):
+        # unchecked, None and "9" would escape as a bare TypeError, True
+        # would act as 1 and 2.5 would be accepted
+        for cap in (None, "9", True, 2.5, 9.0):
+            for call in (
+                lambda: enumerate_fast(3, Family.DP, cap=cap),
+                lambda: count_by("fix", 3, Family.DP, cap=cap),
+                lambda: empirical_count_table("height", Family.ODP, 3, cap=cap),
+            ):
+                with pytest.raises(DomainError, match="cap"):
+                    call()
 
 
 class TestCountTable:
