@@ -13,8 +13,8 @@ acts as a multiplicative zero.  Every function here depends only on its
 arguments.  One has a side effect: ``compose`` stores its right factor's
 lookup dict on that factor the first time the factor is used, so the k
 uses of a right factor in a k*k table build the dict once.  The memo is not
-a dataclass field, so it changes no field, equality, hash, repr or
-serialized form.  It is never mutated once stored, and two threads racing
+one of the value's two fields (``n`` and ``pairs``), so it changes no
+equality, hash, repr or serialized form.  It is never mutated once stored, and two threads racing
 to store it store equal dicts, so values are still safe to share across
 threads.
 
@@ -28,54 +28,68 @@ other constructor, factory and parser validates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import MismatchedChain, NotFunctional, NotInjective, OutOfRange
 
 
-@dataclass(frozen=True)
 class PartialInjection:
     """An injective map from a subset of {1..n} into {1..n}.
 
     Construction normalises the pair list (sorted by domain point) and
     rejects anything that is not a partial injection, so every value that
-    exists is canonical.
+    exists is canonical.  Values are immutable: assigning or deleting an
+    attribute raises :class:`AttributeError`.
 
     >>> PartialInjection(3, [(3, 1), (2, 2)]).pairs
     ((2, 2), (3, 1))
     """
 
-    n: int
-    pairs: tuple[tuple[int, int], ...] = ()
-    # compose's memo of dict(pairs) for this value as a right factor; a
-    # class attribute without an annotation, so not a field: it takes no
-    # part in ==, hash, repr or to_json
+    # compose's memo of dict(pairs) for this value as a right factor; stored
+    # on the instance by compose, not a field: it takes no part in ==, hash,
+    # repr or to_json
     _lookup = None
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, pairs: Iterable = ()):
         if type(n) is not int or n < 0:
             raise OutOfRange(f"chain size must be a non-negative integer, got {n!r}")
         try:
-            pairs = [(x, y) for x, y in self.pairs]
+            items = [(x, y) for x, y in pairs]
         except (TypeError, ValueError):
-            raise OutOfRange(_malformed(self.pairs)) from None
-        for x, y in pairs:
+            raise OutOfRange(_malformed(pairs)) from None
+        for x, y in items:
             # exact type: no float truncation, string parsing or bool as 0/1
             if type(x) is not int or type(y) is not int:
                 raise OutOfRange(f"pair ({x!r}, {y!r}) is not a pair of integers")
-        pairs.sort()
-        for x, y in pairs:
+        items.sort()
+        for x, y in items:
             if not (1 <= x <= n and 1 <= y <= n):
                 raise OutOfRange(f"pair ({x}, {y}) lies outside the chain 1..{n}")
-        lookup = dict(pairs)
-        if len(lookup) != len(pairs):
-            x = next(x1 for (x1, _), (x2, _) in zip(pairs, pairs[1:]) if x1 == x2)
+        lookup = dict(items)
+        if len(lookup) != len(items):
+            x = next(x1 for (x1, _), (x2, _) in zip(items, items[1:]) if x1 == x2)
             raise NotFunctional(f"domain point {x} is mapped twice")
-        if len(set(lookup.values())) != len(pairs):
+        if len(set(lookup.values())) != len(items):
             raise NotInjective("an image point is hit twice")
-        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "pairs", tuple(items))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash((self.n, self.pairs))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(n={self.n!r}, pairs={self.pairs!r})"
 
     @property
     def height(self) -> int:
@@ -130,8 +144,8 @@ def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:
 
 
 def _trusted(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
-    # Builds the value as the frozen dataclass __init__ would, without
-    # __post_init__.  Sound only where n is an int >= 0 and pairs is already
+    # Builds the value as PartialInjection.__init__ would, without its
+    # validation.  Sound only where n is an int >= 0 and pairs is already
     # a canonical partial injection of the n-chain; there are two callers.
     # compose: a.pairs is sorted by distinct domain points and filtering
     # keeps that order, and the images lookup[y] are distinct points of

@@ -9,7 +9,6 @@ checked property failed (first witness printed), 2 usage or cap error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -46,8 +45,16 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 # Rendering
 
+def _dumps(obj, **options) -> str:
+    # imported here, not at the top, so that a run printing text, which
+    # start-up dominates, never loads json and the four modules it pulls in
+    import json
+
+    return json.dumps(obj, **options)
+
+
 def _compact(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    return _dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
 def _render_report_text(check: str, instances: list[dict], passed: bool) -> str:
@@ -84,7 +91,7 @@ def _render_count_table(tbl, fmt: str) -> str:
                 for n, row in enumerate(tbl.rows)
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return _dumps(payload, indent=2) + "\n"
     grid = [["n\\k"] + [str(k) for k in range(max_n + 1)] + ["sum"]]
     for n, row in enumerate(tbl.rows):
         grid.append(
@@ -196,7 +203,7 @@ def cmd_verify(args) -> int:
     passed = all(inst["pass"] for inst in instances)
     if args.format == "json":
         payload = {"check": args.check, "instances": instances, "pass": passed}
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload, indent=2))
     else:
         sys.stdout.write(_render_report_text(args.check, instances, passed))
     print(f"# wall time: {time.perf_counter() - started:.3f}s", file=sys.stderr)
@@ -215,7 +222,7 @@ def cmd_greens(args) -> int:
             "relation": relation,
             "classes": [[to_json(elements[i]) for i in block] for block in partition],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload, indent=2))
         return EXIT_OK
     print(
         f"{relation}-classes of {fam.value} on the {args.n}-chain: {len(partition)}"
@@ -234,7 +241,7 @@ def cmd_structure(args) -> int:
         quotient = build_rees_quotient(args.n, args.rees_p)
         summaries.append(_structure_summary(quotient, f"Q({args.n},{args.rees_p})"))
     if args.format == "json":
-        print(json.dumps({"structures": summaries}, indent=2))
+        print(_dumps({"structures": summaries}, indent=2))
     else:
         sys.stdout.write("\n".join(_render_structure_text(s) for s in summaries))
     return EXIT_OK

@@ -16,7 +16,14 @@ from math import comb
 
 from .chain_maps import PartialInjection, inverse
 from .errors import DomainError
-from .isometry_families import CountTable, Family, _check_chain_size, enumerate_fast, is_member
+from .isometry_families import (
+    CountTable,
+    Family,
+    _check_chain_size,
+    count_by,
+    enumerate_fast,
+    is_member,
+)
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -206,11 +213,7 @@ def phi_bijection_report(n: int, p: int) -> dict[str, bool]:
     touching, untouched = [], []
     for a in enumerate_fast(n, Family.ODP, height=p):
         (touching if n in a.domain or n in a.image else untouched).append(a)
-    inherited = (
-        0
-        if p > n - 1
-        else sum(1 for _ in enumerate_fast(n - 1, Family.ODP, height=p))
-    )
+    inherited = 0 if p > n - 1 else count_by("height", n - 1, Family.ODP)[p]
     return {
         "injective": len(set(images)) == len(images),
         "image_exact": set(images) == set(touching),

@@ -21,8 +21,7 @@ one and reruns are reproducible.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from itertools import combinations, islice
 
 from .chain_maps import compose, gap_signature, to_json
@@ -273,16 +272,23 @@ def is_inverse(table: SemigroupTable) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(namedtuple("Witness", "kind elements")):
     """A minimal element tuple certifying a structural failure.
 
-    ``elements`` holds table indices; :func:`replay_witness` re-runs the
-    defining products and confirms the violation.
+    ``kind`` names the violated property and ``elements`` holds table
+    indices; :func:`replay_witness` re-runs the defining products and
+    confirms the violation.  A witness equals only another witness.
     """
 
-    kind: str
-    elements: tuple[int, ...]
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def _require_zero(table: SemigroupTable) -> int:

@@ -37,10 +37,10 @@ hi < 2x <= n + lo.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from itertools import combinations, permutations
-from typing import Iterator
 
 from .chain_maps import PartialInjection, _trusted, is_isometry, is_order_preserving
 from .errors import DomainError, LimitExceeded
@@ -213,30 +213,36 @@ def count_by(
     return counts
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "statistic family rows row_sums")):
     """Triangle of counts F(n; k) for n = 0..max_n plus row sums.
 
     ``statistic`` is a key of :data:`STATISTICS`; ``rows[n][k]`` counts the
-    elements with that statistic equal to k.
+    elements with that statistic equal to k.  A table equals only another
+    table.
     """
 
-    statistic: str
-    family: Family
-    rows: tuple[tuple[int, ...], ...]
-    row_sums: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _statistic(self.statistic)
-        if not self.rows:
+    def __new__(cls, statistic: str, family: Family, rows, row_sums):
+        _statistic(statistic)
+        if not rows:
             raise DomainError("a count table needs at least the row n = 0")
-        if len(self.rows) != len(self.row_sums):
+        if len(rows) != len(row_sums):
             raise DomainError("rows and row_sums must align")
-        for n, row in enumerate(self.rows):
+        for n, row in enumerate(rows):
             if len(row) != n + 1 or any(v < 0 for v in row):
                 raise DomainError(f"row {n} is malformed")
-            if sum(row) != self.row_sums[n]:
+            if sum(row) != row_sums[n]:
                 raise DomainError(f"row {n} does not sum to its declared order")
+        return super().__new__(cls, statistic, family, rows, row_sums)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 def empirical_count_table(
