@@ -13,10 +13,10 @@ acts as a multiplicative zero.  Every function here depends only on its
 arguments.  One has a side effect: ``compose`` stores its right factor's
 lookup dict on that factor the first time the factor is used, so the k
 uses of a right factor in a k*k table build the dict once.  The memo is not
-one of the value's two fields (``n`` and ``pairs``), so it changes no
-equality, hash, repr or serialized form.  It is never mutated once stored, and two threads racing
-to store it store equal dicts, so values are still safe to share across
-threads.
+one of the value's two fields, ``n`` and ``pairs``, so it changes no
+equality, hash, repr or serialized form.  It is never mutated once stored,
+and two threads racing to store it store equal dicts, so values are still
+safe to share across threads.
 
 Every value is validated when it is built, with two exceptions that build
 through ``_trusted`` without re-running the validation, because their

@@ -46,8 +46,8 @@ EXIT_USAGE = 2
 # Rendering
 
 def _dumps(obj, **options) -> str:
-    # imported here, not at the top, so that a run printing text, which
-    # start-up dominates, never loads json and the four modules it pulls in
+    # imported on first use, not at the top: text output never needs json,
+    # so a one-shot text run does not pay for loading it
     import json
 
     return json.dumps(obj, **options)

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainisom
 from chainisom import checks, closed_forms
 from chainisom.chain_maps import _trusted, compose, from_json, to_json
 from chainisom.cli import _compact, main
@@ -482,6 +486,43 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+# Runs in a fresh `python -I` interpreter, the way every command-line
+# invocation starts: prints the modules that importing the CLI loads, then
+# those loaded once a text-format request has been served as well.  Site
+# hooks of some installs import typing at start-up, so the probe forgets the
+# modules under test first; a re-import then shows in the difference.
+STARTUP_PROBE = """
+import io, sys
+sys.path.insert(0, sys.argv[1])
+for name in ("dataclasses", "inspect", "typing", "json"):
+    sys.modules.pop(name, None)
+before = set(sys.modules)
+from chainisom.cli import main
+print(" ".join(sorted(set(sys.modules) - before)))
+sys.stdout = io.StringIO()
+code = main(["table", "--family", "odp", "--by", "height", "--max-n", "0"])
+sys.stdout = sys.__stdout__
+print(" ".join(sorted(set(sys.modules) - before)))
+print(code)
+"""
+
+
+def test_startup_loads_no_heavy_stdlib_module():
+    # dataclasses alone pulls in inspect, ast, dis and tokenize, and was about
+    # half of the CLI's start-up; json is needed only for JSON output
+    src = Path(chainisom.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", STARTUP_PROBE, str(src)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    on_import, after_request, code = done.stdout.splitlines()
+    assert code == "0"
+    on_import = set(on_import.split())
+    assert "chainisom.cli" in on_import
+    assert not on_import & {"dataclasses", "inspect", "typing", "json"}
+    assert "json" not in after_request.split()
 
 
 # stdout sha256 and exit code of fixed invocations; any byte of output

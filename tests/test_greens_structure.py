@@ -480,6 +480,13 @@ class TestInverseAndIdempotents:
         assert not is_inverse(left_zero)
 
 
+def with_cell(tab, i, j, value):
+    """``tab`` with the single product mult[i][j] replaced by ``value``."""
+    mult = [list(row) for row in tab.mult]
+    mult[i][j] = value
+    return SemigroupTable(tab.elements, mult, tab.zero_index)
+
+
 class TestZeroEUnitary:
     def test_odp_holds(self):
         for n in range(3, 7):
@@ -519,6 +526,21 @@ class TestZeroEUnitary:
         tab = build_table([PartialInjection(0)])
         holds, witness = is_zero_e_unitary(tab)
         assert holds and witness is None
+
+    def test_mutated_cell_fails_with_replayable_witness(self):
+        # odp is 0-E-unitary; make the point identity at 1 times the shift
+        # 1 -> 2 land on that identity instead of on the shift, so an
+        # idempotent e has a nonzero idempotent product es with s not one
+        tab = table(4, Family.ODP)
+        e = tab.elements.index(partial_identity(4, [1]))
+        s = tab.elements.index(make_partial_injection(4, [(1, 2)]))
+        assert tab.mult[e][s] == s
+        bad = with_cell(tab, e, s, e)
+        holds, witness = is_zero_e_unitary(bad)
+        assert not holds
+        assert witness == Witness("not_0_E_unitary", (e, s))
+        assert replay_witness(bad, witness)
+        assert not replay_witness(tab, witness)
 
     def test_no_zero_rejected(self):
         tab = build_table([partial_identity(3, [1, 2, 3])])
@@ -561,6 +583,23 @@ class TestCategorical:
     def test_trivial_semigroup_vacuous(self):
         tab = build_table([PartialInjection(0)])
         assert is_categorical(tab) == (True, None)
+
+    def test_mutated_quotient_cell_fails_with_replayable_witness(self):
+        # Q(4, 2) is categorical; send the identity on {1, 2} times the
+        # shift {1 -> 2, 2 -> 3} to the zero, so with a = c = that shift and
+        # b its inverse, ab and bc are nonzero but (ab)c is the zero
+        tab = build_rees_quotient(4, 2)
+        x = tab.elements.index(partial_identity(4, [1, 2]))
+        c = tab.elements.index(make_partial_injection(4, [(1, 2), (2, 3)]))
+        assert tab.mult[x][c] == c
+        bad = with_cell(tab, x, c, tab.zero_index)
+        holds, witness = is_categorical(bad)
+        assert not holds and witness.kind == "not_categorical"
+        assert replay_witness(bad, witness)
+        assert not replay_witness(tab, witness)
+        # only the mutated product can make (ab)c the zero
+        a, b, c_found = witness.elements
+        assert (bad.mult[a][b], c_found) == (x, c)
 
     def test_replay_unknown_kind(self):
         tab = build_table([PartialInjection(0)])
