@@ -221,10 +221,8 @@ def _principal_right_sets(table: SemigroupTable):
 
 
 def _principal_left_sets(table: SemigroupTable):
-    k = len(table)
-    return [
-        frozenset(table.mult[s][a] for s in range(k)) | {a} for a in range(k)
-    ]
+    # S^1a = {a} | Sa, read off column a
+    return [frozenset(col) | {a} for a, col in enumerate(zip(*table.mult))]
 
 
 def greens_classes_oracle(
@@ -359,6 +357,8 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
     Nonzero elements are the height-p members; a product stands when it
     keeps height p and collapses to the adjoined zero otherwise (all lower
     heights form an ideal, so this is well defined).  The zero has index 0.
+    Only the products that keep height p are computed: those of a and b
+    with im(a) = dom(b), one right factor per domain for each a.
     """
     if type(n) is not int or type(p) is not int or not 1 <= p <= n:
         raise DomainError(f"need int 1 <= p <= n, got p={p!r}, n={n!r}")
@@ -368,12 +368,21 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
             f"quotient over {TABLE_ELEMENT_CAP + 1} or more elements exceeds "
             f"the cap {TABLE_ELEMENT_CAP}"
         )
-    # The family is closed under products, so every height-p product is in
-    # the layer; a lower one misses the index and collapses to the zero.
-    find = {el.pairs: i + 1 for i, el in enumerate(layer)}.get
+    # a is injective, so dom(ab) = {x in dom(a) : xa in dom(b)} has
+    # |im(a) & dom(b)| points.  Both sets have p points, so ab keeps height
+    # p exactly when im(a) = dom(b); every other cell is the zero.  The
+    # family is closed under products, so each height-p product is in the
+    # layer and the index lookup cannot miss.
+    index = {el.pairs: i for i, el in enumerate(layer, start=1)}
+    by_domain = defaultdict(list)
+    for j, b in enumerate(layer, start=1):
+        by_domain[b.domain].append((j, b))
     mult = [[0] * (len(layer) + 1)]
     for a in layer:
-        mult.append([0] + [find(compose(a, b).pairs, 0) for b in layer])
+        row = [0] * (len(layer) + 1)
+        for j, b in by_domain[a.image]:
+            row[j] = index[compose(a, b).pairs]
+        mult.append(row)
     return SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
 
 

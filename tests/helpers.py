@@ -3,12 +3,15 @@
 from functools import lru_cache
 
 from chainisom import (
+    ADJOINED_ZERO,
     Family,
     NotFunctional,
     NotInjective,
     OutOfRange,
+    SemigroupTable,
     build_rees_quotient,
     build_table,
+    compose,
     enumerate_fast,
 )
 
@@ -43,6 +46,19 @@ def table(n: int, family: Family):
 @lru_cache(maxsize=None)
 def rees_table(n: int, p: int):
     return build_rees_quotient(n, p)
+
+
+def rees_quotient_reference(n: int, p: int):
+    """Q(n, p) with every product of the height-p layer composed: the oracle
+    for ``build_rees_quotient``, which composes only the products that keep
+    height p.  A product of lower height misses the index and collapses to
+    the zero at index 0."""
+    layer = list(enumerate_fast(n, Family.ODP, height=p))
+    find = {el.pairs: i + 1 for i, el in enumerate(layer)}.get
+    mult = [[0] * (len(layer) + 1)]
+    for a in layer:
+        mult.append([0] + [find(compose(a, b).pairs, 0) for b in layer])
+    return SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
 
 
 def associative_exhaustive(tab) -> bool:

@@ -415,6 +415,29 @@ class TestRandomised:
         with pytest.raises(MismatchedChain):
             compose(a, PartialInjection(b.n + 1, b.pairs))
 
+    @given(map_triples())
+    def test_compose_result_keeps_the_value_contract(self, triple):
+        # compose builds its result inline, not through the constructor; it
+        # must still read, hash and refuse mutation like a constructed value
+        a, b, _ = triple
+        c = compose(a, b)
+        rebuilt = PartialInjection(c.n, c.pairs)
+        assert repr(c) == repr(rebuilt)
+        assert hash(c) == hash(rebuilt)
+        with pytest.raises(AttributeError):
+            c.n = c.n + 1
+        with pytest.raises(AttributeError):
+            c.pairs = ()
+        with pytest.raises(AttributeError):
+            del c.pairs
+        assert vars(c) == {"n": a.n, "pairs": c.pairs}
+        # the right-factor memo appears only once c is a right factor
+        assert c._lookup is None
+        compose(c, a)
+        assert c._lookup is None
+        compose(a, c)
+        assert c._lookup == dict(c.pairs)
+
     @given(partial_injections())
     def test_idempotent_iff_partial_identity(self, a):
         assert (compose(a, a) == a) == is_partial_identity(a)

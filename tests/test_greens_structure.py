@@ -31,7 +31,13 @@ from chainisom import (
 )
 from chainisom import checks, cli, greens_structure
 from chainisom.greens_structure import RELATIONS
-from helpers import associative_exhaustive, elements, rees_table, table
+from helpers import (
+    associative_exhaustive,
+    elements,
+    rees_quotient_reference,
+    rees_table,
+    table,
+)
 
 BOTH = (Family.DP, Family.ODP)
 
@@ -264,6 +270,19 @@ class TestOracleAgreement:
                 for di, ji in zip(d_ids, j_ids):
                     assert pairing.setdefault(di, ji) == ji
 
+    def test_principal_left_sets_match_per_column_reference(self):
+        # a non-commutative 2-element table (left zeros) tells a column
+        # from a row: row 0 is (0, 0) but column 0 is (0, 1)
+        left_zero = SemigroupTable(("x", "y"), ((0, 0), (1, 1)))
+        for tab in (rees_table(4, 2), left_zero):
+            mult, k = tab.mult, len(tab)
+            assert greens_structure._principal_left_sets(tab) == [
+                frozenset(mult[s][a] for s in range(k)) | {a} for a in range(k)
+            ]
+        assert greens_structure._principal_left_sets(left_zero) == [
+            frozenset({0, 1}), frozenset({0, 1})
+        ]
+
     def test_non_associative_rejected(self):
         # (x x) y = y but x (x y) = x, so this magma is not associative
         bad = SemigroupTable(("x", "y"), ((1, 1), (0, 0)))
@@ -441,7 +460,11 @@ class TestBuildTable:
         layer = list(enumerate_fast(5, Family.ODP, height=2))
         quotient = build_rees_quotient(5, 2)
         assert len(quotient) == len(layer) + 1 == 31
-        assert len(calls) == len(layer) ** 2
+        # only the products that keep height p are composed: one per pair
+        # with im(a) = dom(b), not one per pair of the layer (900)
+        surviving = [(a, b) for a in layer for b in layer if a.image == b.domain]
+        assert len(surviving) == 100
+        assert calls == surviving
 
     def test_associative(self):
         for n in range(6):
@@ -478,6 +501,35 @@ class TestInverseAndIdempotents:
         left_zero = SemigroupTable(("x", "y"), ((0, 0), (1, 1)))
         assert left_zero.is_associative()
         assert not is_inverse(left_zero)
+
+    @staticmethod
+    def non_commuting_quotient():
+        # Q(4, 2) with ef sent to e for two distinct idempotents, whose
+        # products ef and fe are both the zero, so that ef != fe
+        tab = build_rees_quotient(4, 2)
+        e = tab.elements.index(partial_identity(4, [1, 2]))
+        f = tab.elements.index(partial_identity(4, [2, 3]))
+        assert tab.mult[e][f] == tab.mult[f][e] == tab.zero_index
+        return tab, with_cell(tab, e, f, e)
+
+    def test_mutated_idempotent_product_is_not_inverse(self):
+        tab, bad = self.non_commuting_quotient()
+        assert is_inverse(tab)
+        assert not is_inverse(bad)
+
+    def test_rees_check_fails_on_the_mutated_quotient(self, monkeypatch, capsys):
+        _, bad = self.non_commuting_quotient()
+        real = checks.build_rees_quotient
+
+        def mutated(n, p):
+            return bad if (n, p) == (4, 2) else real(n, p)
+
+        monkeypatch.setattr(checks, "build_rees_quotient", mutated)
+        code = cli.main(["verify", "--check", "rees", "--n-range", "4..4"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert [line for line in out if line.startswith("FAIL ")] == ["FAIL n=4 p=2"]
+        assert out[-1] == "FAIL"
 
 
 def with_cell(tab, i, j, value):
@@ -639,6 +691,14 @@ class TestReesQuotient:
                 assert is_inverse(tab)
                 assert is_zero_e_unitary(tab) == (True, None)
                 assert is_categorical(tab) == (True, None)
+
+    def test_equals_all_pairs_reference(self):
+        for n in range(1, 8):
+            for p in range(1, n + 1):
+                got, want = build_rees_quotient(n, p), rees_quotient_reference(n, p)
+                assert got.elements == want.elements
+                assert got.mult == want.mult
+                assert got.zero_index == want.zero_index == 0
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
