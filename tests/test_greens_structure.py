@@ -518,6 +518,8 @@ class TestInverseAndIdempotents:
         assert not is_inverse(bad)
 
     def test_rees_check_fails_on_the_mutated_quotient(self, monkeypatch, capsys):
+        # the mutation also breaks associativity, which the check tests
+        # first; its FAIL line names the instance, not the property
         _, bad = self.non_commuting_quotient()
         real = checks.build_rees_quotient
 
