@@ -357,8 +357,8 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
     Nonzero elements are the height-p members; a product stands when it
     keeps height p and collapses to the adjoined zero otherwise (all lower
     heights form an ideal, so this is well defined).  The zero has index 0.
-    Only the products that keep height p are computed: those of a and b
-    with im(a) = dom(b), one right factor per domain for each a.
+    Only the products that keep height p, those with im(a) = dom(b), are
+    computed.
     """
     if type(n) is not int or type(p) is not int or not 1 <= p <= n:
         raise DomainError(f"need int 1 <= p <= n, got p={p!r}, n={n!r}")
