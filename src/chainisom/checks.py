@@ -22,6 +22,8 @@ from itertools import zip_longest
 from .chain_maps import compose, inverse, is_order_preserving, is_order_reversing, to_json
 from .closed_forms import (
     CLOSED_FORMS,
+    _recurrence_terms,
+    _sum_identity_sides,
     phi_bijection_report,
     recurrence_check,
     verify_sum_identity,
@@ -29,6 +31,7 @@ from .closed_forms import (
 from .errors import ChainIsomError
 from .greens_structure import (
     RELATIONS,
+    _greedy_generators,
     build_rees_quotient,
     build_table,
     greens_classes_criterion,
@@ -63,22 +66,43 @@ def _table_witness(table, witness):
     return None if witness is None else witness_to_json(table, witness)
 
 
+class _ProductOutside(Exception):
+    """Raised out of the generator search by the first failing product."""
+
+
 def _first_product_outside(elements, fam):
-    """The first (a, b) in row-major order whose product is not a member of
-    ``fam``, or ``None`` when every product is."""
-    # is_member reads only a value's pairs (n and fam are fixed here), so one
-    # verdict per distinct product serves every pair that gives it: a closed
-    # family's k^2 products take only k values.  The first pair whose verdict
-    # is false is still the first failing pair, as with a test per pair.
-    verdicts = {}
-    for a in elements:
-        for b in elements:
-            product = compose(a, b)
-            ok = verdicts.get(product.pairs)
-            if ok is None:
-                ok = verdicts[product.pairs] = is_member(product, fam)
-            if not ok:
-                return a, b
+    """The first (x, g) in the search of :func:`_greedy_generators` whose
+    product is not in ``elements`` or not a member of ``fam``, or ``None``
+    when every product is in both.
+
+    The search composes each x in S = ``elements`` with each g in its
+    generating set A once, and that covers all of S * S.  Every element of
+    S is reached as a generator or as a product x * g, so each is a word
+    in A.  If S * A lies in S, then s * t lies in S for every t = g1 ... gm,
+    by induction on m: s * t = (s * g1 ... g(m-1)) * gm, the bracket is in
+    S, and so s * t is in S * A.  The same step shows S * S = S * A, so the
+    distinct products given to ``is_member`` are exactly those of all k^2
+    pairs.  A product that is a member but is not in S fails here, where an
+    all-pairs membership scan would pass it.
+    """
+    find = {a.pairs: i for i, a in enumerate(elements)}.get
+    # is_member reads only a value's pairs (n and fam are fixed here), so
+    # one verdict per distinct product serves every pair that gives it
+    member = [None] * len(elements)
+
+    def product(x, g):
+        c = compose(elements[x], elements[g])
+        i = find(c.pairs)
+        if i is not None and member[i] is None:
+            member[i] = is_member(c, fam)
+        if i is None or not member[i]:
+            raise _ProductOutside(elements[x], elements[g])
+        return i
+
+    try:
+        _greedy_generators(len(elements), product)
+    except _ProductOutside as bad:
+        return bad.args
     return None
 
 
@@ -142,13 +166,27 @@ def formulas(lo, hi):
 def recurrence(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
-            ok = all(recurrence_check(n, p, fam) for p in range(3, n + 1))
-            yield {"n": n, "family": fam.value}, ok, None
+            bad = next(
+                (p for p in range(3, n + 1) if not recurrence_check(n, p, fam)), None
+            )
+            witness = None
+            if bad is not None:
+                whole, left, right = _recurrence_terms(n, bad, fam)
+                witness = {
+                    "n": n, "p": bad,
+                    "F(n;p)": whole, "F(n-1;p-1)": left, "F(n-1;p)": right,
+                }
+            yield {"n": n, "family": fam.value}, bad is None, witness
 
 
 def sum_identity(lo, hi):
     for n in range(lo, hi + 1):
-        yield {"n": n}, verify_sum_identity(n), None
+        ok = verify_sum_identity(n)
+        witness = None
+        if not ok:
+            lhs, rhs = _sum_identity_sides(n)
+            witness = {"n": n, "lhs": lhs, "rhs": rhs}
+        yield {"n": n}, ok, witness
 
 
 def phi_bijection(lo, hi):
@@ -197,17 +235,29 @@ def categorical(lo, hi):
             yield params, holds, _table_witness(table, witness)
 
 
+def _rees_failure(table):
+    """The first of the four properties of a Rees quotient that ``table``
+    lacks, with the predicate's witness where it gives one; ``None`` when
+    it has all four."""
+    if not table.is_associative():
+        return {"property": "associative"}
+    if not is_inverse(table):
+        return {"property": "inverse"}
+    for name, predicate in (
+        ("0-E-unitary", is_zero_e_unitary),
+        ("categorical", is_categorical),
+    ):
+        holds, witness = predicate(table)
+        if not holds:
+            return {"property": name, "witness": witness_to_json(table, witness)}
+    return None
+
+
 def rees(lo, hi):
     for n in range(lo, hi + 1):
         for p in range(1, n + 1):
-            table = build_rees_quotient(n, p)
-            ok = (
-                table.is_associative()
-                and is_inverse(table)
-                and is_zero_e_unitary(table)[0]
-                and is_categorical(table)[0]
-            )
-            yield {"n": n, "p": p}, ok, None
+            witness = _rees_failure(build_rees_quotient(n, p))
+            yield {"n": n, "p": p}, witness is None, witness
 
 
 def inverse_laws(lo, hi):

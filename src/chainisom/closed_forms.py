@@ -146,8 +146,13 @@ def verify_sum_identity(n: int) -> bool:
     """Check sum(p=2..n) (2n-p+1)/(p+1)*C(n,p) == 3*2^n - n^2 - 2n - 3 exactly."""
     if type(n) is not int or n < 2:
         raise DomainError(f"identity needs an int n >= 2, got {n!r}")
+    lhs, rhs = _sum_identity_sides(n)
+    return lhs == rhs
+
+
+def _sum_identity_sides(n: int) -> tuple[int, int]:
     lhs = sum(_exact_div((2 * n - p + 1) * comb(n, p), p + 1) for p in range(2, n + 1))
-    return lhs == 3 * 2**n - n * n - 2 * n - 3
+    return lhs, 3 * 2**n - n * n - 2 * n - 3
 
 
 def _f_height_or_zero(family: Family, n: int, p: int) -> int:
@@ -162,9 +167,17 @@ def recurrence_check(n: int, p: int, family: Family) -> bool:
     """
     if type(n) is not int or type(p) is not int or not n >= p >= 3:
         raise DomainError(f"recurrence needs int n >= p >= 3, got n={n!r}, p={p!r}")
-    return f_height(family, n, p) == _f_height_or_zero(
-        family, n - 1, p - 1
-    ) + _f_height_or_zero(family, n - 1, p)
+    whole, left, right = _recurrence_terms(n, p, family)
+    return whole == left + right
+
+
+def _recurrence_terms(n: int, p: int, family: Family) -> tuple[int, int, int]:
+    """F(n;p), F(n-1;p-1) and F(n-1;p), the last 0 when p exceeds n-1."""
+    return (
+        f_height(family, n, p),
+        _f_height_or_zero(family, n - 1, p - 1),
+        _f_height_or_zero(family, n - 1, p),
+    )
 
 
 def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:

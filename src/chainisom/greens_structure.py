@@ -152,33 +152,43 @@ class SemigroupTable:
         return True
 
     def generators(self) -> tuple[int, ...]:
-        """A generating set of indices, found greedily from the table alone.
-
-        Indices are scanned from the last down; each one not yet reached
-        becomes a generator, and the reached set is grown by multiplying
-        reached elements by generators until it stops growing.  Right
-        multiplication alone suffices, since every product of generators
-        is a generator followed by further generators one at a time.
-        """
+        """A generating set of indices, found greedily from the table alone
+        (see :func:`_greedy_generators`)."""
         mult = self.mult
-        reached = [False] * len(mult)
-        reached_list: list[int] = []
-        gens: list[int] = []
-        for g in range(len(mult) - 1, -1, -1):
-            if reached[g]:
+        return tuple(_greedy_generators(len(mult), lambda x, g: mult[x][g]))
+
+
+def _greedy_generators(k: int, product) -> list[int]:
+    """A generating set of 0..k-1 under ``product(x, g)``, an index.
+
+    Indices are scanned from the last down; each one not yet reached
+    becomes a generator, and the reached set is grown by multiplying
+    reached elements by generators until it stops growing.  Right
+    multiplication alone suffices, since every product of generators is a
+    generator followed by further generators one at a time.  Every index
+    is reached, and ``product`` is called exactly once for each pair of an
+    index and a generator, k * |A| calls in all.
+    """
+    reached = [False] * k
+    reached_list: list[int] = []
+    gens: list[int] = []
+    for g in range(k - 1, -1, -1):
+        if reached[g]:
+            continue
+        gens.append(g)
+        # products ending in g of everything reached so far, then g itself
+        frontier = [g] + [product(r, g) for r in reached_list]
+        while frontier:
+            x = frontier.pop()
+            if reached[x]:
                 continue
-            gens.append(g)
-            # products ending in g of everything reached so far, then g itself
-            frontier = [g] + [mult[r][g] for r in reached_list]
-            while frontier:
-                x = frontier.pop()
-                if reached[x]:
-                    continue
-                reached[x] = True
-                reached_list.append(x)
-                row = mult[x]
-                frontier.extend(row[h] for h in gens if not reached[row[h]])
-        return tuple(gens)
+            reached[x] = True
+            reached_list.append(x)
+            for h in gens:
+                xh = product(x, h)
+                if not reached[xh]:
+                    frontier.append(xh)
+    return gens
 
 
 def build_table(elements) -> SemigroupTable:

@@ -13,6 +13,7 @@ from chainisom import (
     build_table,
     compose,
     enumerate_fast,
+    is_member,
 )
 
 
@@ -59,6 +60,23 @@ def rees_quotient_reference(n: int, p: int):
     for a in layer:
         mult.append([0] + [find(compose(a, b).pairs, 0) for b in layer])
     return SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
+
+
+def first_product_outside_all_pairs(elements, family):
+    """The first (a, b) in row-major order whose product is not a member of
+    ``family``, or ``None``: the oracle for the ``closure`` check, which
+    composes only the products with a generating set.  A product that is a
+    member but not among ``elements`` passes here and fails there."""
+    verdicts = {}
+    for a in elements:
+        for b in elements:
+            product = compose(a, b)
+            ok = verdicts.get(product.pairs)
+            if ok is None:
+                ok = verdicts[product.pairs] = is_member(product, family)
+            if not ok:
+                return a, b
+    return None
 
 
 def associative_exhaustive(tab) -> bool:

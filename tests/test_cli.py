@@ -12,7 +12,8 @@ from chainisom.chain_maps import _trusted, compose, from_json, to_json
 from chainisom.cli import _compact, main
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
-from helpers import count_by_reference
+import helpers
+from helpers import count_by_reference, first_product_outside_all_pairs, table
 from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
 
 
@@ -277,8 +278,8 @@ class TestOracleEquivalenceCatchesFastRouteFaults:
 
 class TestClosureCatchesANonMember:
     """closure must fail a family with a product outside it, even when that
-    product arises from several pairs, with the first such (a, b) in
-    row-major order as its witness."""
+    product arises from several pairs, with a witness pair whose product
+    replays."""
 
     # (2 / 3) on the 4-chain: an isometry, and the product of many dp pairs
     PRODUCT = ((2, 3),)
@@ -293,8 +294,9 @@ class TestClosureCatchesANonMember:
             return real(a, family)
 
         monkeypatch.setattr(checks, "is_member", fake)
+        monkeypatch.setattr(helpers, "is_member", fake)
 
-    def test_witness_is_the_first_pair_giving_the_product(self, rejecting):
+    def test_witness_replays_to_the_rejected_product(self, rejecting):
         els = list(enumerate_fast(4, Family.DP))
         giving = [(a, b) for a in els for b in els
                   if compose(a, b).pairs == self.PRODUCT]
@@ -303,10 +305,11 @@ class TestClosureCatchesANonMember:
         assert dp["params"] == {"n": 4, "family": "dp"}
         assert not dp["pass"]
         assert odp["pass"]
-        a, b = giving[0]
-        assert dp["witness"] == {"a": to_json(a), "b": to_json(b)}
-        replayed = compose(from_json(dp["witness"]["a"]), from_json(dp["witness"]["b"]))
-        assert replayed.pairs == self.PRODUCT
+        a, b = from_json(dp["witness"]["a"]), from_json(dp["witness"]["b"])
+        assert (a, b) in giving
+        assert compose(a, b).pairs == self.PRODUCT
+        # the all-pairs reference fails too, at the first pair in row-major order
+        assert first_product_outside_all_pairs(els, Family.DP) == giving[0]
 
     def test_verify_exits_1(self, rejecting, capsys):
         code, out = run(capsys, "verify", "--check", "closure", "--n-range", "4..4")
@@ -316,7 +319,8 @@ class TestClosureCatchesANonMember:
     def test_one_membership_test_per_distinct_product(self, monkeypatch):
         # is_member reads only a product's pairs, so closure asks it once
         # per distinct product; a closed family's products are its k
-        # elements (a = a * a^-1 * a), while compose still runs k^2 times
+        # elements (a = a * a^-1 * a), while compose runs k * |A| times for
+        # a generating set A, the one Light's test finds on the table
         calls = {"compose": 0, "is_member": 0}
 
         def counting(name, real):
@@ -328,8 +332,53 @@ class TestClosureCatchesANonMember:
         monkeypatch.setattr(checks, "compose", counting("compose", checks.compose))
         monkeypatch.setattr(checks, "is_member", counting("is_member", checks.is_member))
         assert all(inst["pass"] for inst in checks.run_check("closure", 4, 4))
-        sizes = [len(list(enumerate_fast(4, fam))) for fam in Family]
-        assert calls == {"compose": sum(k * k for k in sizes), "is_member": sum(sizes)}
+        tables = [table(4, fam) for fam in Family]
+        composes = sum(len(tab) * len(tab.generators()) for tab in tables)
+        assert composes == 405  # all k^2 pairs would be 4,925
+        assert calls == {"compose": composes, "is_member": sum(map(len, tables))}
+
+
+class TestClosureCatchesAMissingProduct:
+    """closure must fail a family stream with one element dropped, with a
+    witness pair whose product is that element.  The all-pairs membership
+    scan passes the same stream: every product is still a member."""
+
+    @pytest.fixture
+    def dropped(self, monkeypatch):
+        real = checks.enumerate_fast
+        gone = {}
+
+        def fake(n, family, **kwargs):
+            els = list(real(n, family, **kwargs))
+            gone[family] = els.pop(len(els) // 2)
+            return iter(els)
+
+        monkeypatch.setattr(checks, "enumerate_fast", fake)
+        return gone
+
+    def test_witness_product_is_the_dropped_element(self, dropped):
+        for inst in checks.run_check("closure", 4, 4):
+            assert not inst["pass"]
+            a, b = from_json(inst["witness"]["a"]), from_json(inst["witness"]["b"])
+            assert compose(a, b) == dropped[Family(inst["params"]["family"])]
+
+    def test_all_pairs_reference_passes(self, dropped):
+        for fam in Family:
+            els = list(checks.enumerate_fast(4, fam))
+            assert dropped[fam] not in els
+            assert first_product_outside_all_pairs(els, fam) is None
+
+
+class TestClosureAgreesWithAllPairs:
+    def test_same_verdict_up_to_7(self):
+        for n in range(8):
+            for fam in Family:
+                els = list(enumerate_fast(n, fam))
+                assert checks._first_product_outside(els, fam) is None
+                assert first_product_outside_all_pairs(els, fam) is None
+
+    def test_passes_up_to_11(self):
+        assert all(inst["pass"] for inst in checks.run_check("closure", 0, 11))
 
 
 def _first_fail_witness(out):
@@ -364,6 +413,64 @@ class TestFormulasCatchesAWrongBranch:
         assert empirical == count_by_reference("fix", 3, Family.DP)
         assert [m for m in range(4) if empirical[m] != formula[m]] == [1]
         assert formula[1] == empirical[1] + 1
+
+
+class TestRecurrenceCatchesAWrongTerm:
+    """recurrence must fail when one closed-form count is off by one, with
+    n, p and the three terms as its witness."""
+
+    @pytest.fixture
+    def off_by_one(self, monkeypatch):
+        real = closed_forms.f_height_odp
+
+        def fake(n, p):
+            # F(5; 3) for odp, one too high
+            return real(n, p) + ((n, p) == (5, 3))
+
+        monkeypatch.setattr(closed_forms, "f_height_odp", fake)
+
+    def test_verify_exits_1_with_witness(self, off_by_one, capsys):
+        code, out = run(capsys, "verify", "--check", "recurrence", "--n-range", "5..5")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+        assert out.count("FAIL n=") == 1
+        assert "FAIL n=5 family=odp witness=" in out
+        witness = _first_fail_witness(out)
+        assert (witness["n"], witness["p"]) == (5, 3)
+        whole, left, right = (witness[k] for k in ("F(n;p)", "F(n-1;p-1)", "F(n-1;p)"))
+        f = closed_forms.f_height
+        assert (whole, left, right) == (f(Family.ODP, 5, 3), f(Family.ODP, 4, 2),
+                                        f(Family.ODP, 4, 3))
+        assert whole == ODP_BY_HEIGHT[5][3] + 1
+        assert whole == left + right + 1
+
+
+class TestSumIdentityCatchesAWrongTerm:
+    """sum-identity must fail when one term of its sum is off, with n and
+    both sides as its witness."""
+
+    @pytest.fixture
+    def off(self, monkeypatch):
+        real = closed_forms.comb
+
+        def fake(n, p):
+            # C(5, 3) one too high: the p = 3 term (2n-p+1)/(p+1) * C(n, p)
+            # becomes 8 * 11 / 4 = 22, two above 20
+            return real(n, p) + ((n, p) == (5, 3))
+
+        monkeypatch.setattr(closed_forms, "comb", fake)
+
+    def test_verify_exits_1_with_witness(self, off, capsys):
+        code, out = run(capsys, "verify", "--check", "sum-identity", "--n-range", "4..6")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+        assert out.count("FAIL n=") == 1
+        witness = _first_fail_witness(out)
+        n = 5
+        lhs = sum((2 * n - p + 1) * closed_forms.comb(n, p) // (p + 1)
+                  for p in range(2, n + 1))
+        assert witness == {"n": n, "lhs": lhs, "rhs": 3 * 2**n - n * n - 2 * n - 3}
+        assert witness["lhs"] == witness["rhs"] + 2
 
 
 class TestPhiBijectionCatchesACollision:
@@ -534,6 +641,8 @@ def test_startup_loads_no_heavy_stdlib_module():
 GOLDEN = [
     ("verify --check closure --n-range 0..3 --format text", 0, "46f7f59610622b2252e6721997bd435dbbba4dbf8d9803ed187a420fa8487fb7"),
     ("verify --check closure --n-range 0..3 --format json", 0, "c7ef671d91c5dc30af10c648f3703314d38358c7cffcf92120f29076852a3347"),
+    ("verify --check closure --n-range 4..6 --format text", 0, "83be07173657e4c738bc8b0d7332c7354d02efbe8f9ec1d8e9d8dc4781d357c9"),
+    ("verify --check closure --n-range 4..6 --format json", 0, "18ef1bdbeb274e8d676ecb4f70e6fed3f69e6781598709f745a54afd09188573"),
     ("verify --check fix-trichotomy --n-range 0..5 --format text", 0, "685fcca455878860cb8066473c2a433802617db678083a0f162dd7d05d64ef37"),
     ("verify --check fix-trichotomy --n-range 0..5 --format json", 0, "29bbe1bae880d92387ceb9d106606e82c39db62b180798b6065152f9318eda6d"),
     ("verify --check dichotomy --n-range 0..5 --format text", 0, "99d7ec8c94f3f3f61aeaae4568a90892b28b4b03f97f6812cd10725e84646c94"),

@@ -519,7 +519,7 @@ class TestInverseAndIdempotents:
 
     def test_rees_check_fails_on_the_mutated_quotient(self, monkeypatch, capsys):
         # the mutation also breaks associativity, which the check tests
-        # first; its FAIL line names the instance, not the property
+        # first, so that is the property its witness names
         _, bad = self.non_commuting_quotient()
         real = checks.build_rees_quotient
 
@@ -530,7 +530,9 @@ class TestInverseAndIdempotents:
         code = cli.main(["verify", "--check", "rees", "--n-range", "4..4"])
         out = capsys.readouterr().out.splitlines()
         assert code == 1
-        assert [line for line in out if line.startswith("FAIL ")] == ["FAIL n=4 p=2"]
+        assert [line for line in out if line.startswith("FAIL ")] == [
+            'FAIL n=4 p=2 witness={"property":"associative"}'
+        ]
         assert out[-1] == "FAIL"
 
 
@@ -701,6 +703,38 @@ class TestReesQuotient:
                 assert got.elements == want.elements
                 assert got.mult == want.mult
                 assert got.zero_index == want.zero_index == 0
+
+    @pytest.mark.parametrize(
+        "substitute, prop",
+        [
+            # a left-zero band with a zero: associative, but its two
+            # idempotents do not commute
+            (lambda: SemigroupTable("zxy", ((0, 0, 0), (0, 1, 1), (0, 2, 2)), 0),
+             "inverse"),
+            (lambda: table(3, Family.DP), "0-E-unitary"),
+            (lambda: table(2, Family.ODP), "categorical"),
+        ],
+        ids=["inverse", "0-E-unitary", "categorical"],
+    )
+    def test_rees_check_names_the_failing_property(self, monkeypatch, substitute, prop):
+        # each substitute has every property the check tests before prop
+        tab = substitute()
+        real = checks.build_rees_quotient
+        monkeypatch.setattr(
+            checks, "build_rees_quotient",
+            lambda n, p: tab if (n, p) == (4, 2) else real(n, p),
+        )
+        failing = [inst for inst in checks.run_check("rees", 4, 4) if not inst["pass"]]
+        assert [inst["params"] for inst in failing] == [{"n": 4, "p": 2}]
+        witness = failing[0]["witness"]
+        assert witness["property"] == prop
+        if prop == "inverse":
+            assert witness == {"property": "inverse"}
+        else:
+            found = witness["witness"]
+            replayed = Witness(found["kind"], tuple(e["index"] for e in found["elements"]))
+            assert replay_witness(tab, replayed)
+            assert witness_to_json(tab, replayed) == found
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
