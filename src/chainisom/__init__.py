@@ -17,7 +17,6 @@ from .chain_maps import (
     is_isometry,
     is_order_preserving,
     is_order_reversing,
-    make_partial_injection,
     partial_identity,
     to_json,
     to_text,
@@ -51,7 +50,6 @@ from .errors import (
     OutOfRange,
 )
 from .greens_structure import (
-    ADJOINED_ZERO,
     SemigroupTable,
     Witness,
     build_rees_quotient,

@@ -23,7 +23,8 @@ the validation because their values are canonical by construction:
 ``compose`` (the composite of two valid maps on one chain), which builds
 its result inline, and ``isometry_families.enumerate_fast`` (a translation
 or reflection restricted to an increasing domain), which builds through
-``_trusted``.  Every other constructor, factory and parser validates.
+``_trusted``.  Everything else, :func:`from_json` included, builds through
+the validating constructor.
 """
 
 from __future__ import annotations
@@ -129,15 +130,6 @@ def _malformed(pairs) -> str:
     return f"pairs {pairs!r} hold an entry that is not an (x, y) pair"
 
 
-def make_partial_injection(n: int, pairs: Iterable) -> PartialInjection:
-    """Validating factory for :class:`PartialInjection`.
-
-    >>> make_partial_injection(3, [(2, 2), (3, 1)]).pairs
-    ((2, 2), (3, 1))
-    """
-    return PartialInjection(n, pairs)
-
-
 def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:
     """The restriction of the identity map to ``points``."""
     return PartialInjection(n, tuple((x, x) for x in points))
@@ -166,8 +158,8 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     pair list on the same chain.  The first call with ``b`` as the right
     factor stores ``dict(b.pairs)`` on ``b``; later calls read it back.
 
-    >>> a = make_partial_injection(3, [(1, 1), (2, 2)])
-    >>> b = make_partial_injection(3, [(2, 2), (3, 1)])
+    >>> a = PartialInjection(3, [(1, 1), (2, 2)])
+    >>> b = PartialInjection(3, [(2, 2), (3, 1)])
     >>> compose(a, b).pairs
     ((2, 2),)
     """
@@ -192,7 +184,7 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
 def inverse(a: PartialInjection) -> PartialInjection:
     """Transpose of ``a``; satisfies a * inverse(a) * a == a.
 
-    >>> inverse(make_partial_injection(3, [(1, 2), (2, 3)])).pairs
+    >>> inverse(PartialInjection(3, [(1, 2), (2, 3)])).pairs
     ((2, 1), (3, 2))
     """
     return PartialInjection(a.n, tuple((y, x) for x, y in a.pairs))
@@ -256,7 +248,7 @@ def from_json(obj: dict) -> PartialInjection:
     for key in ("n", "map"):
         if key not in obj:
             raise OutOfRange(f"serialized map {obj!r} has no {key!r} key")
-    return make_partial_injection(obj["n"], obj["map"])
+    return PartialInjection(obj["n"], obj["map"])
 
 
 def to_text(a: PartialInjection) -> str:

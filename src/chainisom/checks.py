@@ -28,7 +28,7 @@ from .closed_forms import (
     recurrence_check,
     verify_sum_identity,
 )
-from .errors import ChainIsomError
+from .errors import ChainIsomError, DomainError
 from .greens_structure import (
     RELATIONS,
     _greedy_generators,
@@ -60,10 +60,6 @@ def _first_failures(families, lo, hi, ok):
             bad = next((a for a in enumerate_fast(n, fam) if not ok(a)), None)
             witness = None if bad is None else {"element": to_json(bad)}
             yield {"n": n, "family": fam.value}, bad is None, witness
-
-
-def _table_witness(table, witness):
-    return None if witness is None else witness_to_json(table, witness)
 
 
 class _ProductOutside(Exception):
@@ -197,6 +193,26 @@ def phi_bijection(lo, hi):
             yield {"n": n, "p": p}, ok, None if ok else report
 
 
+def _first_split_pair(elements, criterion, oracle):
+    """The first index pair i < j that one of two partitions of the
+    elements puts in one block and the other splits, with both elements and
+    the route that joins them; ``None`` when no pair is split."""
+    block_c, block_o = (
+        {i: block for block in map(frozenset, partition) for i in block}
+        for partition in (criterion, oracle)
+    )
+    for i in range(len(elements)):
+        with_c = block_c[i]
+        later = [j for j in with_c ^ block_o[i] if j > i]
+        if later:
+            j = min(later)
+            return {
+                "elements": [{"index": x, **to_json(elements[x])} for x in (i, j)],
+                "joined_by": "criterion" if j in with_c else "oracle",
+            }
+    return None
+
+
 def greens(lo, hi):
     for n in range(lo, hi + 1):
         for fam in FAMILIES:
@@ -204,8 +220,13 @@ def greens(lo, hi):
             table = build_table(enumerate_fast(n, fam))
             oracle = greens_classes_oracle(table)
             for rel in RELATIONS:
-                same = greens_classes_criterion(table.elements, fam, rel) == oracle[rel]
-                yield {"n": n, "family": fam.value, "relation": rel}, same, None
+                criterion = greens_classes_criterion(table.elements, fam, rel)
+                same = criterion == oracle[rel]
+                witness = (
+                    None if same
+                    else _first_split_pair(table.elements, criterion, oracle[rel])
+                )
+                yield {"n": n, "family": fam.value, "relation": rel}, same, witness
 
 
 def eunitary(lo, hi):
@@ -218,7 +239,7 @@ def eunitary(lo, hi):
                 ok = holds
             else:
                 ok = not holds and replay_witness(table, witness)
-            yield {"n": n, "family": fam.value}, ok, _table_witness(table, witness)
+            yield {"n": n, "family": fam.value}, ok, witness_to_json(table, witness)
 
 
 def categorical(lo, hi):
@@ -227,12 +248,12 @@ def categorical(lo, hi):
         holds, witness = is_categorical(table)
         # categorical only while no three-factor product can vanish: n <= 1
         ok = holds if n <= 1 else (not holds and replay_witness(table, witness))
-        yield {"n": n, "semigroup": "odp"}, ok, _table_witness(table, witness)
+        yield {"n": n, "semigroup": "odp"}, ok, witness_to_json(table, witness)
         for p in range(1, n + 1):
             table = build_rees_quotient(n, p)
             holds, witness = is_categorical(table)
             params = {"n": n, "semigroup": "rees", "p": p}
-            yield params, holds, _table_witness(table, witness)
+            yield params, holds, witness_to_json(table, witness)
 
 
 def _rees_failure(table):
@@ -297,15 +318,21 @@ def run_check(name: str, lo: int, hi: int) -> list[dict]:
 
     Sizes below the check's smallest are skipped; a range with no instance
     left raises :class:`ChainIsomError`, since a check that ran on nothing
-    verified nothing.
+    verified nothing.  An unknown name, or a bound that is not an ``int``,
+    raises :class:`DomainError`.
     """
+    if name not in CHECKS:
+        raise DomainError(f"unknown check {name!r}")
+    if type(lo) is not int or type(hi) is not int:
+        raise DomainError(f"check bounds must be ints, got {lo!r}..{hi!r}")
     smallest = SMALLEST_N.get(name, 0)
-    if hi < smallest:
+    start = max(lo, smallest)
+    if start > hi:
         raise ChainIsomError(
             f"check {name!r} has no instance in {lo}..{hi}; it needs n >= {smallest}"
         )
     instances = []
-    for params, ok, witness in CHECKS[name](max(lo, smallest), hi):
+    for params, ok, witness in CHECKS[name](start, hi):
         inst = {"params": params, "pass": ok}
         if witness is not None:
             inst["witness"] = witness

@@ -120,11 +120,11 @@ def _structure_summary(table, name: str) -> dict:
         "inverse": is_inverse(table),
         "zero_e_unitary": {
             "holds": holds_u,
-            "witness": None if wit_u is None else witness_to_json(table, wit_u),
+            "witness": witness_to_json(table, wit_u),
         },
         "categorical": {
             "holds": holds_c,
-            "witness": None if wit_c is None else witness_to_json(table, wit_c),
+            "witness": witness_to_json(table, wit_c),
         },
     }
 
@@ -140,11 +140,8 @@ def _render_structure_text(summary: dict) -> str:
         entry = summary[key]
         line = f"{label}: {str(entry['holds']).lower()}"
         if entry["witness"] is not None:
-            parts = ", ".join(
-                e["label"] if "label" in e else to_text(from_json(e))
-                for e in entry["witness"]["elements"]
-            )
-            line += f"  witness: {parts}"
+            elements = entry["witness"]["elements"]
+            line += "  witness: " + ", ".join(to_text(from_json(e)) for e in elements)
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -156,7 +156,9 @@ def _sum_identity_sides(n: int) -> tuple[int, int]:
 
 
 def _f_height_or_zero(family: Family, n: int, p: int) -> int:
-    return 0 if p > n else f_height(family, n, p)
+    # read from CLOSED_FORMS, as the formulas check reads it, so that both
+    # checks see a replaced entry
+    return 0 if p > n else CLOSED_FORMS["height"](family, n, p)
 
 
 def recurrence_check(n: int, p: int, family: Family) -> bool:
@@ -174,7 +176,7 @@ def recurrence_check(n: int, p: int, family: Family) -> bool:
 def _recurrence_terms(n: int, p: int, family: Family) -> tuple[int, int, int]:
     """F(n;p), F(n-1;p-1) and F(n-1;p), the last 0 when p exceeds n-1."""
     return (
-        f_height(family, n, p),
+        _f_height_or_zero(family, n, p),
         _f_height_or_zero(family, n - 1, p - 1),
         _f_height_or_zero(family, n - 1, p),
     )

@@ -13,6 +13,10 @@ Two independent routes to the Green's relations are kept side by side:
 Both routes return a partition as a tuple of blocks of element indices.
 The ``greens`` check and the test suite check that they are identical.
 
+Every table built here holds :class:`PartialInjection` values only, and
+its zero is the empty map; in a Rees quotient that stands for the ideal
+of lower heights.
+
 Tables are immutable after construction and every predicate here only
 reads them, so concurrent use is safe.  Witness searches scan elements in
 index order, so a reported violation is always the lexicographically first
@@ -24,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 from itertools import combinations, islice
 
-from .chain_maps import compose, gap_signature, to_json
+from .chain_maps import PartialInjection, compose, gap_signature, to_json
 from .errors import (
     DomainError,
     LimitExceeded,
@@ -40,27 +44,6 @@ from .isometry_families import Family, enumerate_fast
 TABLE_ELEMENT_CAP = 2000
 
 RELATIONS = ("R", "L", "H", "D")
-
-
-class _SentinelElement:
-    """Opaque table label for the zero adjoined to a Rees quotient."""
-
-    __slots__ = ("label",)
-
-    def __init__(self, label: str):
-        self.label = label
-
-    def __repr__(self):
-        return f"<{self.label}>"
-
-
-ADJOINED_ZERO = _SentinelElement("0")
-
-
-def element_json(el) -> dict:
-    if isinstance(el, _SentinelElement):
-        return {"label": el.label}
-    return to_json(el)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +95,8 @@ def greens_classes_criterion(
 class SemigroupTable:
     """An indexed element list with a dense multiplication table.
 
-    ``zero_index`` marks the absorbing element when there is one (the empty
-    map, or an adjoined quotient zero).
+    ``zero_index`` marks the absorbing element when there is one: an int
+    index, checked to be in range and absorbing.
     """
 
     def __init__(self, elements, mult, zero_index=None):
@@ -124,6 +107,11 @@ class SemigroupTable:
         if len(self.mult) != k or any(len(row) != k for row in self.mult):
             raise DomainError("multiplication table must be square over the elements")
         if zero_index is not None:
+            # exact type: 1.0 cannot index a row, and True would pass for 1
+            if type(zero_index) is not int or not 0 <= zero_index < k:
+                raise DomainError(
+                    f"zero_index must be an int in 0..{k - 1}, got {zero_index!r}"
+                )
             z = zero_index
             if any(
                 self.mult[z][i] != z or self.mult[i][z] != z for i in range(k)
@@ -362,13 +350,13 @@ def replay_witness(table: SemigroupTable, witness: Witness) -> bool:
 # Ideals and Rees quotients
 
 def build_rees_quotient(n: int, p: int) -> SemigroupTable:
-    """The height-p layer of the order-preserving family with a zero glued on.
+    """Q(n, p), the height-p layer of the order-preserving family over
+    the ideal of lower heights.
 
-    Nonzero elements are the height-p members; a product stands when it
-    keeps height p and collapses to the adjoined zero otherwise (all lower
-    heights form an ideal, so this is well defined).  The zero has index 0.
-    Only the products that keep height p, those with im(a) = dom(b), are
-    computed.
+    The zero, at index 0, is the empty map, standing for that ideal.  A
+    product of two height-p members stands when it keeps height p and is
+    the zero otherwise.  Only the products that keep height p, those with
+    im(a) = dom(b), are computed.
     """
     if type(n) is not int or type(p) is not int or not 1 <= p <= n:
         raise DomainError(f"need int 1 <= p <= n, got p={p!r}, n={n!r}")
@@ -393,17 +381,20 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
         for j, b in by_domain[a.image]:
             row[j] = index[compose(a, b).pairs]
         mult.append(row)
-    return SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
+    return SemigroupTable([PartialInjection(n)] + layer, mult, zero_index=0)
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
-def witness_to_json(table: SemigroupTable, witness: Witness) -> dict:
+def witness_to_json(table: SemigroupTable, witness: Witness | None) -> dict | None:
+    """A witness's JSON form, each element with its index; None for None."""
+    if witness is None:
+        return None
     return {
         "kind": witness.kind,
         "elements": [
-            {"index": i, **element_json(table.elements[i])}
+            {"index": i, **to_json(table.elements[i])}
             for i in witness.elements
         ],
     }

@@ -3,11 +3,11 @@
 from functools import lru_cache
 
 from chainisom import (
-    ADJOINED_ZERO,
     Family,
     NotFunctional,
     NotInjective,
     OutOfRange,
+    PartialInjection,
     SemigroupTable,
     build_rees_quotient,
     build_table,
@@ -53,13 +53,13 @@ def rees_quotient_reference(n: int, p: int):
     """Q(n, p) with every product of the height-p layer composed: the oracle
     for ``build_rees_quotient``, which composes only the products that keep
     height p.  A product of lower height misses the index and collapses to
-    the zero at index 0."""
+    the zero at index 0, the empty map."""
     layer = list(enumerate_fast(n, Family.ODP, height=p))
     find = {el.pairs: i + 1 for i, el in enumerate(layer)}.get
     mult = [[0] * (len(layer) + 1)]
     for a in layer:
         mult.append([0] + [find(compose(a, b).pairs, 0) for b in layer])
-    return SemigroupTable([ADJOINED_ZERO] + layer, mult, zero_index=0)
+    return SemigroupTable([PartialInjection(n)] + layer, mult, zero_index=0)
 
 
 def first_product_outside_all_pairs(elements, family):

@@ -17,7 +17,6 @@ from chainisom import (
     is_isometry,
     is_order_preserving,
     is_order_reversing,
-    make_partial_injection,
     partial_identity,
     to_json,
     to_text,
@@ -39,7 +38,7 @@ def _draw_map(draw, n):
     points = st.integers(1, max(n, 1))
     dom = sorted(draw(st.lists(points, min_size=k, max_size=k, unique=True)))
     img = draw(st.lists(points, min_size=k, max_size=k, unique=True))
-    return make_partial_injection(n, zip(dom, img))
+    return PartialInjection(n, zip(dom, img))
 
 
 @st.composite
@@ -95,28 +94,28 @@ def plain_product(a, b):
 
 class TestConstruction:
     def test_identity_restriction(self):
-        a = make_partial_injection(3, [(1, 1), (2, 2)])
+        a = PartialInjection(3, [(1, 1), (2, 2)])
         assert a.pairs == ((1, 1), (2, 2))
         assert is_partial_identity(a)
 
     def test_valid_non_idempotent(self):
-        a = make_partial_injection(3, [(2, 2), (3, 1)])
+        a = PartialInjection(3, [(2, 2), (3, 1)])
         assert a.pairs == ((2, 2), (3, 1))
         assert compose(a, a) != a
 
     def test_repeated_image_rejected(self):
         with pytest.raises(NotInjective):
-            make_partial_injection(3, [(1, 2), (2, 2)])
+            PartialInjection(3, [(1, 2), (2, 2)])
 
     def test_repeated_domain_rejected(self):
         with pytest.raises(NotFunctional):
-            make_partial_injection(3, [(1, 2), (1, 3)])
+            PartialInjection(3, [(1, 2), (1, 3)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(OutOfRange):
-            make_partial_injection(3, [(0, 1)])
+            PartialInjection(3, [(0, 1)])
         with pytest.raises(OutOfRange):
-            make_partial_injection(3, [(1, 4)])
+            PartialInjection(3, [(1, 4)])
         with pytest.raises(OutOfRange):
             PartialInjection(-1)
         # points must be ints: no silent truncation or coercion
@@ -200,17 +199,17 @@ class TestConstruction:
 
     def test_equality_includes_chain_size(self):
         assert PartialInjection(3, [(1, 1)]) != PartialInjection(4, [(1, 1)])
-        assert PartialInjection(3, [(1, 1)]) == make_partial_injection(3, [(1, 1)])
+        assert PartialInjection(3, [(1, 1)]) == PartialInjection(3, [(1, 1)])
 
 
 class TestCompose:
     def test_documented_product(self):
-        a = make_partial_injection(3, [(1, 1), (2, 2)])
-        b = make_partial_injection(3, [(2, 2), (3, 1)])
-        assert compose(a, b) == make_partial_injection(3, [(2, 2)])
+        a = PartialInjection(3, [(1, 1), (2, 2)])
+        b = PartialInjection(3, [(2, 2), (3, 1)])
+        assert compose(a, b) == PartialInjection(3, [(2, 2)])
 
     def test_zero_absorbs(self):
-        a = make_partial_injection(3, [(1, 2), (2, 3)])
+        a = PartialInjection(3, [(1, 2), (2, 3)])
         zero = PartialInjection(3)
         assert compose(a, zero) == zero
         assert compose(zero, a) == zero
@@ -226,9 +225,9 @@ class TestCompose:
 
     def test_left_to_right_action(self):
         # x(ab) = (xa)b: 1 -> 2 under a, then 2 -> 3 under b
-        a = make_partial_injection(3, [(1, 2)])
-        b = make_partial_injection(3, [(2, 3)])
-        assert compose(a, b) == make_partial_injection(3, [(1, 3)])
+        a = PartialInjection(3, [(1, 2)])
+        b = PartialInjection(3, [(2, 3)])
+        assert compose(a, b) == PartialInjection(3, [(1, 3)])
         assert compose(b, a).is_empty
 
     def test_mismatched_chain(self):
@@ -265,8 +264,8 @@ class TestCompose:
 
 class TestInverse:
     def test_transposition(self):
-        assert inverse(make_partial_injection(3, [(1, 2), (2, 3)])) == \
-            make_partial_injection(3, [(2, 1), (3, 2)])
+        assert inverse(PartialInjection(3, [(1, 2), (2, 3)])) == \
+            PartialInjection(3, [(2, 1), (3, 2)])
 
     def test_empty(self):
         assert inverse(PartialInjection(4)) == PartialInjection(4)
@@ -285,7 +284,7 @@ class TestInverse:
 class TestStatistics:
     # shoulders are the extremes of the domain, waists those of the image
     def test_direct_reading(self):
-        a = make_partial_injection(5, [(2, 4), (3, 3), (4, 2)])
+        a = PartialInjection(5, [(2, 4), (3, 3), (4, 2)])
         assert a.height == 3
         assert fixed_points(a) == {3}
         assert a.domain[-1] == 4 and a.image[-1] == 4
@@ -297,7 +296,7 @@ class TestStatistics:
             assert fixed_points(a) == set(range(1, n + 1))
 
     def test_single_fixed_point(self):
-        assert fixed_points(make_partial_injection(3, [(1, 3), (2, 2)])) == {2}
+        assert fixed_points(PartialInjection(3, [(1, 3), (2, 2)])) == {2}
 
     def test_empty_map_has_absent_extremes(self):
         a = PartialInjection(6)
@@ -313,30 +312,30 @@ class TestStatistics:
 class TestPredicates:
     def test_endpoint_swap(self):
         n = 6
-        a = make_partial_injection(n, [(1, n), (n, 1)])
+        a = PartialInjection(n, [(1, n), (n, 1)])
         assert is_isometry(a)
         assert not is_order_preserving(a)
         assert is_order_reversing(a)
 
     def test_distance_violation(self):
-        a = make_partial_injection(3, [(1, 1), (2, 3)])
+        a = PartialInjection(3, [(1, 1), (2, 3)])
         assert not is_isometry(a)
 
     def test_reflection_pattern(self):
-        a = make_partial_injection(4, [(2, 3), (3, 2), (4, 1)])
+        a = PartialInjection(4, [(2, 3), (3, 2), (4, 1)])
         assert is_isometry(a)
         assert is_order_reversing(a)
 
     def test_vacuous_for_small_maps(self):
-        for a in (PartialInjection(4), make_partial_injection(4, [(2, 3)])):
+        for a in (PartialInjection(4), PartialInjection(4, [(2, 3)])):
             assert is_isometry(a)
             assert is_order_preserving(a)
             assert is_order_reversing(a)
 
     def test_idempotents(self):
-        a = make_partial_injection(3, [(2, 2)])
+        a = PartialInjection(3, [(2, 2)])
         assert compose(a, a) == a and is_partial_identity(a)
-        b = make_partial_injection(3, [(2, 2), (3, 1)])
+        b = PartialInjection(3, [(2, 2), (3, 1)])
         assert compose(b, b) != b and not is_partial_identity(b)
         zero = PartialInjection(3)
         assert compose(zero, zero) == zero and is_partial_identity(zero)
@@ -347,7 +346,7 @@ class TestPredicates:
         for k in range(4):
             for dom in itertools.combinations(points, k):
                 for img in itertools.permutations(points, k):
-                    a = make_partial_injection(3, zip(dom, img))
+                    a = PartialInjection(3, zip(dom, img))
                     assert (compose(a, a) == a) == is_partial_identity(a)
 
 
@@ -371,12 +370,12 @@ class TestGapSignature:
 
 class TestSerialization:
     def test_json_form(self):
-        a = make_partial_injection(3, [(2, 2), (3, 1)])
+        a = PartialInjection(3, [(2, 2), (3, 1)])
         assert to_json(a) == {"n": 3, "map": [[2, 2], [3, 1]]}
         assert from_json({"n": 3, "map": [[2, 2], [3, 1]]}) == a
 
     def test_text_form(self):
-        a = make_partial_injection(3, [(2, 2), (3, 1)])
+        a = PartialInjection(3, [(2, 2), (3, 1)])
         assert to_text(a) == "(2 3 / 2 1)"
         assert str(a) == "(2 3 / 2 1)"
         assert to_text(PartialInjection(2)) == "( / )"

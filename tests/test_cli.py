@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import chainisom
-from chainisom import checks, closed_forms
+from chainisom import ChainIsomError, DomainError, checks, closed_forms
 from chainisom.chain_maps import _trusted, compose, from_json, to_json
 from chainisom.cli import _compact, main
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
@@ -188,6 +188,18 @@ class TestVerify:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"needs n >= {smallest}" in captured.err
+
+    def test_run_check_rejects_what_the_cli_cannot_send(self):
+        # the CLI's range parser refuses these first; run_check must refuse
+        # them too, not pass vacuously or raise a bare Python error
+        for name, lo, hi, error in (
+            ("closure", 3, 1, ChainIsomError),
+            ("rees", 5, 3, ChainIsomError),
+            ("nope", 0, 1, DomainError),
+            ("sum-identity", 2.5, 3, DomainError),
+        ):
+            with pytest.raises(error):
+                checks.run_check(name, lo, hi)
 
     def test_cap_violation_exits_2(self, capsys):
         assert run(capsys, "verify", "--check", "oracle-equivalence",
@@ -444,6 +456,34 @@ class TestRecurrenceCatchesAWrongTerm:
                                         f(Family.ODP, 4, 3))
         assert whole == ODP_BY_HEIGHT[5][3] + 1
         assert whole == left + right + 1
+
+
+class TestRecurrenceReadsTheClosedFormsMap:
+    """recurrence must read the height count from CLOSED_FORMS, as formulas
+    does, so a replaced entry reaches both checks."""
+
+    @pytest.fixture
+    def patched(self, monkeypatch):
+        real = closed_forms.CLOSED_FORMS["height"]
+
+        def fake(family, n, p):
+            # F(5; 4) for dp, one too high
+            return real(family, n, p) + ((family, n, p) == (Family.DP, 5, 4))
+
+        monkeypatch.setitem(closed_forms.CLOSED_FORMS, "height", fake)
+        return fake
+
+    def test_verify_exits_1_with_the_patched_terms(self, patched, capsys):
+        code, out = run(capsys, "verify", "--check", "recurrence", "--n-range", "5..5")
+        assert code == 1
+        assert out.count("FAIL n=") == 1
+        assert "FAIL n=5 family=dp witness=" in out
+        witness = _first_fail_witness(out)
+        assert (witness["n"], witness["p"]) == (5, 4)
+        terms = [witness[k] for k in ("F(n;p)", "F(n-1;p-1)", "F(n-1;p)")]
+        assert terms == [patched(Family.DP, 5, 4), patched(Family.DP, 4, 3),
+                         patched(Family.DP, 4, 4)]
+        assert terms[0] == terms[1] + terms[2] + 1
 
 
 class TestSumIdentityCatchesAWrongTerm:

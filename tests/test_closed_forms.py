@@ -15,7 +15,6 @@ from chainisom import (
     f_height_odp,
     family_order,
     formula_count_table,
-    make_partial_injection,
     order_dp,
     order_odp,
     phi_bijection,
@@ -312,25 +311,25 @@ class TestRecurrence:
 
 class TestPhiBijection:
     def test_partial_identity_case(self):
-        a = make_partial_injection(3, [(1, 1), (2, 2)])
-        assert phi_bijection(a, 4) == make_partial_injection(4, [(1, 1), (2, 2), (4, 4)])
+        a = PartialInjection(3, [(1, 1), (2, 2)])
+        assert phi_bijection(a, 4) == PartialInjection(4, [(1, 1), (2, 2), (4, 4)])
 
     def test_downward_translation_case(self):
-        a = make_partial_injection(3, [(2, 1), (3, 2)])
-        assert phi_bijection(a, 4) == make_partial_injection(4, [(2, 1), (3, 2), (4, 3)])
+        a = PartialInjection(3, [(2, 1), (3, 2)])
+        assert phi_bijection(a, 4) == PartialInjection(4, [(2, 1), (3, 2), (4, 3)])
 
     def test_upward_translation_case(self):
-        a = make_partial_injection(3, [(1, 2), (2, 3)])
-        assert phi_bijection(a, 4) == make_partial_injection(4, [(1, 2), (2, 3), (3, 4)])
+        a = PartialInjection(3, [(1, 2), (2, 3)])
+        assert phi_bijection(a, 4) == PartialInjection(4, [(1, 2), (2, 3), (3, 4)])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             phi_bijection(PartialInjection(3), 4)  # empty
         with pytest.raises(DomainError):
-            phi_bijection(make_partial_injection(3, [(1, 1)]), 5)  # wrong chain
+            phi_bijection(PartialInjection(3, [(1, 1)]), 5)  # wrong chain
         with pytest.raises(DomainError):
             # order-reversing input
-            phi_bijection(make_partial_injection(3, [(1, 2), (2, 1)]), 4)
+            phi_bijection(PartialInjection(3, [(1, 2), (2, 1)]), 4)
 
     def test_bijection_in_claimed_range(self):
         for n in range(3, 9):

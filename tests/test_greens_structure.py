@@ -1,9 +1,9 @@
+import json
 import random
 
 import pytest
 
 from chainisom import (
-    ADJOINED_ZERO,
     DomainError,
     Family,
     LimitExceeded,
@@ -18,13 +18,13 @@ from chainisom import (
     build_table,
     compose,
     enumerate_fast,
+    from_json,
     greens_classes_criterion,
     greens_classes_oracle,
     idempotents,
     is_categorical,
     is_inverse,
     is_zero_e_unitary,
-    make_partial_injection,
     partial_identity,
     replay_witness,
     witness_to_json,
@@ -71,7 +71,7 @@ class TestPreorders:
     # the R order is domain containment and the L order image containment
     def test_subset_restriction(self):
         tab = table(3, Family.DP)
-        a = make_partial_injection(3, [(2, 2)])
+        a = PartialInjection(3, [(2, 2)])
         b = partial_identity(3, [1, 2])
         assert below(right_sets, tab, a, b) and below(left_sets, tab, a, b)
         assert not below(right_sets, tab, b, a)
@@ -84,8 +84,8 @@ class TestPreorders:
 
     def test_domain_vs_image(self):
         tab = table(3, Family.DP)
-        a = make_partial_injection(3, [(1, 2)])
-        b = make_partial_injection(3, [(2, 1), (3, 2)])
+        a = PartialInjection(3, [(1, 2)])
+        b = PartialInjection(3, [(2, 1), (3, 2)])
         assert not below(right_sets, tab, a, b)  # Dom {1} is not inside {2, 3}
         assert below(left_sets, tab, a, b)
 
@@ -129,8 +129,8 @@ class TestDOrder:
 
     def test_d_related_examples(self):
         a = partial_identity(4, [1, 2])
-        b = make_partial_injection(4, [(3, 2), (4, 3)])
-        c = make_partial_injection(4, [(1, 1)])
+        b = PartialInjection(4, [(3, 2), (4, 3)])
+        c = PartialInjection(4, [(1, 1)])
         for fam in BOTH:
             tab = table(4, fam)
             block = next(
@@ -234,6 +234,39 @@ class TestOracleAgreement:
                 for rel in RELATIONS:
                     crit = greens_classes_criterion(els, fam, rel)
                     assert crit == orc[rel], (n, fam, rel)
+
+    def test_greens_check_witnesses_a_merged_block(self, monkeypatch, capsys):
+        # a criterion route that merges the second and third R-blocks must
+        # fail the check on both families, with a pair that it joins and
+        # the oracle splits
+        real = checks.greens_classes_criterion
+
+        def merging(els, fam, rel):
+            blocks = list(real(els, fam, rel))
+            if rel == "R":
+                blocks[1:3] = [tuple(sorted(blocks[1] + blocks[2]))]
+            return tuple(blocks)
+
+        monkeypatch.setattr(checks, "greens_classes_criterion", merging)
+        assert cli.main(["verify", "--check", "greens", "--n-range", "3..3",
+                         "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failing = [inst for inst in report["instances"] if not inst["pass"]]
+        assert [inst["params"]["relation"] for inst in failing] == ["R", "R"]
+        for inst in failing:
+            tab = table(3, Family(inst["params"]["family"]))
+            witness = inst["witness"]
+            assert witness["joined_by"] == "criterion"
+            (i, a), (j, b) = (
+                (e.pop("index"), from_json(e)) for e in witness["elements"]
+            )
+            assert i < j and (tab.elements[i], tab.elements[j]) == (a, b)
+            # the merged blocks' first members, split by the oracle
+            crit_r = real(tab.elements, Family(inst["params"]["family"]), "R")
+            assert (i, j) == (crit_r[1][0], crit_r[2][0])
+            oracle_r = greens_classes_oracle(tab)["R"]
+            assert not any(i in block and j in block for block in oracle_r)
+            assert a.domain != b.domain
 
     def test_oracle_h_sizes_dp5(self):
         classes = greens_classes_oracle(table(5, Family.DP))["H"]
@@ -377,7 +410,7 @@ class TestBuildTable:
         assert tab.zero_index is None
 
     def test_not_closed(self):
-        lone = make_partial_injection(2, [(1, 2)])
+        lone = PartialInjection(2, [(1, 2)])
         with pytest.raises(NotClosed) as err:
             build_table([lone])
         assert err.value.pair == (lone, lone)
@@ -386,9 +419,9 @@ class TestBuildTable:
         # rows 0 and 1 close; row s fails at u and again at w, and row w
         # fails too: the first failure in row-major order is (s, u)
         zero, one = PartialInjection(3), partial_identity(3, [1, 2, 3])
-        s = make_partial_injection(3, [(1, 2)])
-        u = make_partial_injection(3, [(2, 3)])
-        w = make_partial_injection(3, [(2, 1)])
+        s = PartialInjection(3, [(1, 2)])
+        u = PartialInjection(3, [(2, 3)])
+        w = PartialInjection(3, [(2, 1)])
         with pytest.raises(NotClosed) as err:
             build_table([zero, one, s, u, w])
         assert err.value.pair == (s, u)
@@ -477,6 +510,14 @@ class TestBuildTable:
         with pytest.raises(DomainError):
             SemigroupTable(("x", "y"), ((0, 0), (0, 1)), zero_index=1)
 
+    @pytest.mark.parametrize("zero_index", [3, -1, 1.0, 0.0, True, False, "0"])
+    def test_zero_index_must_be_an_int_in_range(self, zero_index):
+        # index 0 is absorbing in this table, so only the type or the range
+        # can reject these; True and 0.0 would otherwise pass as 1 and 0
+        with pytest.raises(DomainError, match="zero_index"):
+            SemigroupTable(("z", "x"), ((0, 0), (0, 1)), zero_index=zero_index)
+        assert SemigroupTable(("z", "x"), ((0, 0), (0, 1)), zero_index=0).zero_index == 0
+
 
 class TestInverseAndIdempotents:
     def test_idempotent_counts_are_powers_of_two(self):
@@ -564,12 +605,12 @@ class TestZeroEUnitary:
         # earliest violating pair in enumeration order: the point identity
         # at 2 against the reflection through 2 defined on {1, 2}
         assert e == partial_identity(3, [2])
-        assert s == make_partial_injection(3, [(1, 3), (2, 2)])
+        assert s == PartialInjection(3, [(1, 3), (2, 2)])
 
     def test_documented_pair_is_a_violation(self):
         tab = table(3, Family.DP)
         e = partial_identity(3, [1, 2])
-        s = make_partial_injection(3, [(2, 2), (3, 1)])
+        s = PartialInjection(3, [(2, 2), (3, 1)])
         witness = Witness(
             "not_0_E_unitary", (tab.elements.index(e), tab.elements.index(s))
         )
@@ -589,7 +630,7 @@ class TestZeroEUnitary:
         # idempotent e has a nonzero idempotent product es with s not one
         tab = table(4, Family.ODP)
         e = tab.elements.index(partial_identity(4, [1]))
-        s = tab.elements.index(make_partial_injection(4, [(1, 2)]))
+        s = tab.elements.index(PartialInjection(4, [(1, 2)]))
         assert tab.mult[e][s] == s
         bad = with_cell(tab, e, s, e)
         holds, witness = is_zero_e_unitary(bad)
@@ -646,7 +687,7 @@ class TestCategorical:
         # b its inverse, ab and bc are nonzero but (ab)c is the zero
         tab = build_rees_quotient(4, 2)
         x = tab.elements.index(partial_identity(4, [1, 2]))
-        c = tab.elements.index(make_partial_injection(4, [(1, 2), (2, 3)]))
+        c = tab.elements.index(PartialInjection(4, [(1, 2), (2, 3)]))
         assert tab.mult[x][c] == c
         bad = with_cell(tab, x, c, tab.zero_index)
         holds, witness = is_categorical(bad)
@@ -672,7 +713,7 @@ class TestReesQuotient:
         q = build_rees_quotient(4, 4)
         assert len(q) == 2
         assert q.mult == ((0, 0), (0, 1))
-        assert q.elements[0] is ADJOINED_ZERO
+        assert q.elements[0] == PartialInjection(4)
         assert q.elements[1] == partial_identity(4, [1, 2, 3, 4])
 
     def test_product_rule_matches_composition(self):

@@ -12,7 +12,6 @@ from chainisom import (
     enumerate_oracle,
     inverse,
     is_member,
-    make_partial_injection,
 )
 from chainisom import isometry_families
 from chainisom.isometry_families import STATISTICS
@@ -23,7 +22,7 @@ BOTH = (Family.DP, Family.ODP)
 
 class TestMembership:
     def test_endpoint_swap_is_dp_only(self):
-        a = make_partial_injection(5, [(1, 5), (5, 1)])
+        a = PartialInjection(5, [(1, 5), (5, 1)])
         assert is_member(a, Family.DP)
         assert not is_member(a, Family.ODP)
 
@@ -32,13 +31,13 @@ class TestMembership:
         assert is_member(PartialInjection(4), Family.ODP)
 
     def test_distance_violation_in_neither(self):
-        a = make_partial_injection(3, [(1, 1), (2, 3)])
+        a = PartialInjection(3, [(1, 1), (2, 3)])
         assert not is_member(a, Family.DP)
         assert not is_member(a, Family.ODP)
 
     def test_non_family_rejected(self):
         # a bare string would otherwise be read as one of the two families
-        swap = make_partial_injection(3, [(1, 3), (3, 1)])
+        swap = PartialInjection(3, [(1, 3), (3, 1)])
         with pytest.raises(DomainError):
             is_member(swap, "odp")
 
@@ -48,12 +47,12 @@ class TestFastEnumeration:
         got = list(enumerate_fast(2, Family.DP))
         want = [
             PartialInjection(2),
-            make_partial_injection(2, [(1, 1)]),
-            make_partial_injection(2, [(1, 2)]),
-            make_partial_injection(2, [(2, 1)]),
-            make_partial_injection(2, [(2, 2)]),
-            make_partial_injection(2, [(1, 1), (2, 2)]),
-            make_partial_injection(2, [(1, 2), (2, 1)]),
+            PartialInjection(2, [(1, 1)]),
+            PartialInjection(2, [(1, 2)]),
+            PartialInjection(2, [(2, 1)]),
+            PartialInjection(2, [(2, 2)]),
+            PartialInjection(2, [(1, 1), (2, 2)]),
+            PartialInjection(2, [(1, 2), (2, 1)]),
         ]
         assert got == want
 
@@ -144,7 +143,7 @@ class TestFastEnumeration:
             for a in elements(n, Family.ODP):
                 if n in a.domain and n in a.image:
                     assert dict(a.pairs)[n] == n
-        swap = make_partial_injection(3, [(1, 3), (3, 1)])
+        swap = PartialInjection(3, [(1, 3), (3, 1)])
         assert is_member(swap, Family.DP) and dict(swap.pairs)[3] != 3
 
     def test_cap_enforced(self):
