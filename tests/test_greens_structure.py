@@ -257,9 +257,7 @@ class TestOracleAgreement:
             tab = table(3, Family(inst["params"]["family"]))
             witness = inst["witness"]
             assert witness["joined_by"] == "criterion"
-            (i, a), (j, b) = (
-                (e.pop("index"), from_json(e)) for e in witness["elements"]
-            )
+            (i, a), (j, b) = ((e["index"], from_json(e)) for e in witness["elements"])
             assert i < j and (tab.elements[i], tab.elements[j]) == (a, b)
             # the merged blocks' first members, split by the oracle
             crit_r = real(tab.elements, Family(inst["params"]["family"]), "R")
@@ -514,9 +512,10 @@ class TestBuildTable:
     def test_zero_index_must_be_an_int_in_range(self, zero_index):
         # index 0 is absorbing in this table, so only the type or the range
         # can reject these; True and 0.0 would otherwise pass as 1 and 0
+        mult = ((0, 0), (0, 1))
         with pytest.raises(DomainError, match="zero_index"):
-            SemigroupTable(("z", "x"), ((0, 0), (0, 1)), zero_index=zero_index)
-        assert SemigroupTable(("z", "x"), ((0, 0), (0, 1)), zero_index=0).zero_index == 0
+            SemigroupTable(("z", "x"), mult, zero_index=zero_index)
+        assert SemigroupTable(("z", "x"), mult, zero_index=0).zero_index == 0
 
 
 class TestInverseAndIdempotents:
