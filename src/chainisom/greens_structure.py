@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from itertools import combinations, islice
+from operator import itemgetter
 
 from .chain_maps import PartialInjection, compose, gap_signature, to_json
 from .errors import (
@@ -73,20 +74,25 @@ def greens_classes_criterion(
     elements = list(elements)
     if any(el.n != elements[0].n for el in elements):
         raise MismatchedChain("all elements must live on the same chain")
+    # keys are generated, not listed, so only one key per block is held
     if rel == "R":
-        keys = [el.domain for el in elements]
+        keys = (el.domain for el in elements)
     elif rel == "L":
-        keys = [el.image for el in elements]
+        keys = (el.image for el in elements)
     elif rel == "H":
-        keys = [(el.domain, el.image) for el in elements]
+        keys = ((el.domain, el.image) for el in elements)
     else:
-        keys = []
-        for el in elements:
-            sig = gap_signature(el.domain)
-            if family is Family.DP:
-                sig = min(sig, sig[::-1])
-            keys.append((el.height, sig))
+        keys = (_d_key(el, family) for el in elements)
     return _partition_from_keys(keys)
+
+
+def _d_key(el, family):
+    # height and gap signature; a DP reflection reverses the signature, so
+    # a signature and its reverse name one D-class there
+    sig = gap_signature(el.domain)
+    if family is Family.DP:
+        sig = min(sig, sig[::-1])
+    return el.height, sig
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +112,10 @@ class SemigroupTable:
         k = len(self.elements)
         if len(self.mult) != k or any(len(row) != k for row in self.mult):
             raise DomainError("multiplication table must be square over the elements")
+        # every entry must index an element: the predicates use entries as
+        # row indices, where -1 would silently read the last row
+        if k and not (min(map(min, self.mult)) >= 0 and max(map(max, self.mult)) < k):
+            raise DomainError(f"multiplication table entries must lie in 0..{k - 1}")
         if zero_index is not None:
             # exact type: 1.0 cannot index a row, and True would pass for 1
             if type(zero_index) is not int or not 0 <= zero_index < k:
@@ -132,10 +142,17 @@ class SemigroupTable:
         Preston, *The Algebraic Theory of Semigroups* I, section 1.2).
         """
         mult = self.mult
+        if len(mult) == 1:
+            # entries lie in 0..k-1, so this is the one table on one element,
+            # which is associative; itemgetter of one index below would
+            # return a bare entry, not a row
+            return True
         for g in self.generators():
-            row_g = mult[g]
+            # mult[row_x[g]] lists (x g) y and times_g(row_x) lists x (g y),
+            # for y = 0..k-1
+            times_g = itemgetter(*mult[g])
             for row_x in mult:
-                if mult[row_x[g]] != tuple(map(row_x.__getitem__, row_g)):
+                if mult[row_x[g]] != times_g(row_x):
                     return False
         return True
 

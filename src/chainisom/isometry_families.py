@@ -13,7 +13,10 @@ element sources are provided:
   representations produce the same maps.  Each element is canonical by
   construction, so it is built without re-running the
   :class:`PartialInjection` validation; besides ``chain_maps.compose``
-  this is the only unvalidated construction site.
+  this is the only unvalidated construction site.  The elements of one
+  call share their ``(x, y)`` tuples, one per point pair of the chain, so
+  an element holds one tuple of references and no pairs of its own: about
+  half the memory of a validated rebuild.
 * :func:`enumerate_oracle` generates every partial injection of the chain
   through the validating constructor and filters by membership.  It is
   deliberately naive; the ``oracle-equivalence`` check and the test suite
@@ -41,6 +44,7 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from itertools import combinations, permutations
+from operator import getitem
 
 from .chain_maps import PartialInjection, _trusted, is_isometry, is_order_preserving
 from .errors import DomainError, LimitExceeded
@@ -114,12 +118,15 @@ def enumerate_fast(
 
 
 def _generate(n, family, height):
+    # pair[x][y] is the (x, y) tuple every element of this call holds
+    pair = [[(x, y) for y in range(n + 1)] for x in range(n + 1)]
     heights = range(n + 1) if height is None else [height]
     for h in heights:
         if h == 0:
             yield _trusted(n, ())
             continue
         for dom in combinations(range(1, n + 1), h):
+            rows = [pair[x] for x in dom]
             lo, hi = dom[0], dom[-1]
             images = [
                 tuple(x + t for x in dom) for t in range(1 - lo, n - hi + 1)
@@ -130,7 +137,7 @@ def _generate(n, family, height):
                 )
             images.sort()
             for img in images:
-                yield _trusted(n, tuple(zip(dom, img)))
+                yield _trusted(n, tuple(map(getitem, rows, img)))
 
 
 def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:

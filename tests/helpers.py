@@ -13,6 +13,7 @@ from chainisom import (
     build_table,
     compose,
     enumerate_fast,
+    gap_signature,
     is_member,
 )
 
@@ -77,6 +78,31 @@ def first_product_outside_all_pairs(elements, family):
             if not ok:
                 return a, b
     return None
+
+
+def criterion_partition_reference(elements, family, relation):
+    """Green's classes by the structural criteria, with every element's key
+    listed before grouping: the reference for ``greens_classes_criterion``,
+    which generates its keys and keeps one per block."""
+
+    def d_key(a):
+        sig = gap_signature(a.domain)
+        if family is Family.DP:
+            sig = min(sig, sig[::-1])
+        return a.height, sig
+
+    read = {
+        "R": lambda a: a.domain,
+        "L": lambda a: a.image,
+        "H": lambda a: (a.domain, a.image),
+        "D": d_key,
+    }[relation]
+    keys = [read(a) for a in elements]
+    blocks = {}
+    for i, key in enumerate(keys):
+        blocks.setdefault(key, []).append(i)
+    # blocks are disjoint, so sorting them sorts them by smallest member
+    return tuple(sorted(tuple(block) for block in blocks.values()))
 
 
 def associative_exhaustive(tab) -> bool:

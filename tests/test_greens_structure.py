@@ -33,6 +33,7 @@ from chainisom import checks, cli, greens_structure
 from chainisom.greens_structure import RELATIONS
 from helpers import (
     associative_exhaustive,
+    criterion_partition_reference,
     elements,
     rees_quotient_reference,
     rees_table,
@@ -184,6 +185,16 @@ class TestCriterionPartitions:
                 list(elements(n, Family.DP)), Family.DP, "H"
             )
             assert {len(block) for block in classes} <= {1, 2}
+
+    def test_equals_list_keys_reference_up_to_10(self):
+        for n in range(11):
+            for fam in BOTH:
+                els = list(elements(n, fam))
+                for rel in RELATIONS:
+                    got = greens_classes_criterion(els, fam, rel)
+                    assert got == criterion_partition_reference(els, fam, rel), (
+                        n, fam, rel
+                    )
 
     def test_unknown_relation(self):
         with pytest.raises(DomainError):
@@ -507,6 +518,15 @@ class TestBuildTable:
             SemigroupTable(("x",), ((0, 0),))
         with pytest.raises(DomainError):
             SemigroupTable(("x", "y"), ((0, 0), (0, 1)), zero_index=1)
+
+    @pytest.mark.parametrize(
+        "mult", [((0, 0), (0, -1)), ((0, 0), (0, 2))], ids=["negative", "past_end"]
+    )
+    def test_entries_must_index_an_element(self, mult):
+        # -1 would read the last row and 2 no row; index 0 is absorbing, so
+        # only the entry range can reject these
+        with pytest.raises(DomainError, match="entries"):
+            SemigroupTable(("z", "x"), mult, zero_index=0)
 
     @pytest.mark.parametrize("zero_index", [3, -1, 1.0, 0.0, True, False, "0"])
     def test_zero_index_must_be_an_int_in_range(self, zero_index):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from chainisom import (
@@ -97,6 +99,34 @@ class TestFastEnumeration:
                         assert type(a.n) is int
                         b = PartialInjection(a.n, a.pairs)
                         assert a == b and hash(a) == hash(b)
+
+    def test_elements_share_their_pair_tuples(self):
+        # one (x, y) tuple per point pair, held by every element with that
+        # pair; the height-1 maps alone hold all 36 pairs of the 6-chain
+        held = {}
+        for a in enumerate_fast(6, Family.DP):
+            for pair in a.pairs:
+                assert held.setdefault(pair, pair) is pair
+        assert len(held) == 36
+
+    def test_elements_take_under_0_7_of_validated_rebuilds(self):
+        # a rebuild through the constructor holds its own 2-tuples; a ratio
+        # of two measurements, so it does not depend on the interpreter's
+        # object sizes
+        def traced_bytes(build):
+            tracemalloc.start()
+            try:
+                values = build()
+                return tracemalloc.get_traced_memory()[0], values
+            finally:
+                tracemalloc.stop()
+
+        # a tuple freed while tracing can stay on the interpreter's free
+        # list and count as live; one untraced pass fills those lists first
+        list(enumerate_fast(10, Family.DP))
+        fast, values = traced_bytes(lambda: list(enumerate_fast(10, Family.DP)))
+        rebuilt, _ = traced_bytes(lambda: [PartialInjection(a.n, a.pairs) for a in values])
+        assert fast <= 0.7 * rebuilt, (fast, rebuilt)
 
     def test_canonical_order(self):
         for fam in BOTH:
