@@ -69,6 +69,7 @@ from .isometry_families import (
     count_by,
     empirical_count_table,
     enumerate_fast,
+    enumerate_images,
     enumerate_oracle,
     is_member,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from operator import getitem
 
 from .chain_maps import from_json, to_json, to_text
 from .checks import CHECKS, run_check
@@ -33,6 +34,7 @@ from .isometry_families import (
     Family,
     empirical_count_table,
     enumerate_fast,
+    enumerate_images,
 )
 
 FORMULA_TABLE_CAP = 60
@@ -149,18 +151,27 @@ def _render_structure_text(summary: dict) -> str:
 # ---------------------------------------------------------------------------
 # Commands
 
-def _jsonl(a) -> str:
-    # the bytes of _compact(to_json(a)), without json.dumps
-    pairs = ",".join(f"[{x},{y}]" for x, y in a.pairs)
-    return f'{{"map":[{pairs}],"n":{a.n}}}'
-
-
 def cmd_enumerate(args) -> int:
-    fam = Family(args.family)
-    jsonl = args.format == "jsonl"
+    n = args.n
+    # the request is checked here, before the first line is written
+    walk = enumerate_images(n, Family(args.family), height=args.height, cap=args.cap)
     write = sys.stdout.write
-    for a in enumerate_fast(args.n, fam, height=args.height, cap=args.cap):
-        write((_jsonl(a) if jsonl else to_text(a)) + "\n")
+    # one write per domain, of the lines of the maps on it: the bytes of
+    # _compact(to_json(a)) in jsonl and of to_text(a) in text, for each map a
+    if args.format == "jsonl":
+        cell = [[f"[{x},{y}]" for y in range(n + 1)] for x in range(n + 1)]
+        head, tail = '{"map":[', f'],"n":{n}}}\n'
+        between = tail + head
+        for dom, images in walk:
+            rows = [cell[x] for x in dom]
+            maps = [",".join(map(getitem, rows, img)) for img in images]
+            write(head + between.join(maps) + tail)
+    else:
+        text_of = [str(i) for i in range(n + 1)].__getitem__
+        for dom, images in walk:
+            head = "(" + " ".join(map(text_of, dom)) + " / "
+            maps = [" ".join(map(text_of, img)) for img in images]
+            write(head + (")\n" + head).join(maps) + ")\n")
     return EXIT_OK
 
 
@@ -213,19 +224,25 @@ def cmd_greens(args) -> int:
     elements = list(enumerate_fast(args.n, fam, cap=args.cap))
     partition = greens_classes_criterion(elements, fam, relation)
     if args.format == "json":
-        payload = {
-            "n": args.n,
-            "family": fam.value,
-            "relation": relation,
-            "classes": [[to_json(elements[i]) for i in block] for block in partition],
-        }
-        print(_dumps(payload, indent=2))
+        # the bytes of json.dumps(payload, indent=2) for the payload
+        # {"n", "family", "relation", "classes"}, written one class at a
+        # time so that no more than one class is held as JSON
+        write = sys.stdout.write
+        head = _dumps({"n": args.n, "family": fam.value, "relation": relation}, indent=2)
+        write(head[:-2] + ',\n  "classes": [')  # head[:-2] drops its "\n}"
+        between = "\n"
+        for block in partition:
+            members = _dumps([to_json(elements[i]) for i in block], indent=2)
+            write(between + "    " + members.replace("\n", "\n    "))
+            between = ",\n"
+        # every family holds the empty map, so there is at least one class
+        write("\n  ]\n}\n")
         return EXIT_OK
     print(
         f"{relation}-classes of {fam.value} on the {args.n}-chain: {len(partition)}"
     )
     for k, block in enumerate(partition):
-        members = " ".join(str(elements[i]) for i in block)
+        members = " ".join([to_text(elements[i]) for i in block])
         print(f"[{k}] size {len(block)}: {members}")
     return EXIT_OK
 

@@ -10,8 +10,12 @@ element sources are provided:
   order-reversing case), so it suffices to walk domain subsets and the
   shifts/centres that keep the image inside the chain.  Height <= 1
   elements are emitted from the translation pass only, since there the two
-  representations produce the same maps.  Each element is canonical by
-  construction, so it is built without re-running the
+  representations produce the same maps.  That walk is written once and
+  has two consumers.  :func:`enumerate_images` hands it out as it is, one
+  ``(domain, images)`` pair per domain subset, and builds no element
+  value: the CLI renders ``enumerate`` output straight from it.
+  :func:`enumerate_fast` builds one value per image.  Each element is
+  canonical by construction, so it is built without re-running the
   :class:`PartialInjection` validation; besides ``chain_maps.compose``
   this is the only unvalidated construction site.  The elements of one
   call share their ``(x, y)`` tuples, one per point pair of the chain, so
@@ -117,16 +121,36 @@ def enumerate_fast(
     return _generate(n, family, height)
 
 
-def _generate(n, family, height):
-    # pair[x][y] is the (x, y) tuple every element of this call holds
-    pair = [[(x, y) for y in range(n + 1)] for x in range(n + 1)]
+def enumerate_images(
+    n: int,
+    family: Family,
+    height: int | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Stream the family as ``(domain, images)``, one pair per domain subset.
+
+    ``domain`` is an increasing tuple of points and ``images`` lists, in
+    canonical order, the image tuples of the family's maps on it, each in
+    domain order: the map ``zip(domain, img)`` for each ``img``.  The
+    domains come in canonical order too, so the maps come in the order of
+    :func:`enumerate_fast`, which reads this same walk.  No element value
+    is built.  The arguments are checked as by :func:`enumerate_fast`,
+    before the first pair is made.
+
+    >>> list(enumerate_images(2, Family.DP, height=2))
+    [((1, 2), [(1, 2), (2, 1)])]
+    """
+    _check_request(n, family, height, cap)
+    return _walk(n, family, height)
+
+
+def _walk(n, family, height):
     heights = range(n + 1) if height is None else [height]
     for h in heights:
         if h == 0:
-            yield _trusted(n, ())
+            yield (), [()]  # the empty map
             continue
         for dom in combinations(range(1, n + 1), h):
-            rows = [pair[x] for x in dom]
             lo, hi = dom[0], dom[-1]
             images = [
                 tuple(x + t for x in dom) for t in range(1 - lo, n - hi + 1)
@@ -136,8 +160,16 @@ def _generate(n, family, height):
                     tuple(c - x for x in dom) for c in range(hi + 1, n + lo + 1)
                 )
             images.sort()
-            for img in images:
-                yield _trusted(n, tuple(map(getitem, rows, img)))
+            yield dom, images
+
+
+def _generate(n, family, height):
+    # pair[x][y] is the (x, y) tuple every element of this call holds
+    pair = [[(x, y) for y in range(n + 1)] for x in range(n + 1)]
+    for dom, images in _walk(n, family, height):
+        rows = [pair[x] for x in dom]
+        for img in images:
+            yield _trusted(n, tuple(map(getitem, rows, img)))
 
 
 def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:

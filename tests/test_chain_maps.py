@@ -380,6 +380,15 @@ class TestSerialization:
         assert str(a) == "(2 3 / 2 1)"
         assert to_text(PartialInjection(2)) == "( / )"
 
+    def test_text_form_of_long_chains(self):
+        # the table of point strings covers chains up to 64 points; past
+        # that the text is made from the map's own points, with no table of
+        # the chain
+        for n in (63, 64, 65, 10**9):
+            a = PartialInjection(n, [(1, n), (n, 7)])
+            assert to_text(a) == f"(1 {n} / {n} 7)"
+        assert to_text(PartialInjection(10**9)) == "( / )"
+
 
 class TestRandomised:
     @given(partial_injections())

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import chainisom
-from chainisom import ChainIsomError, DomainError, checks, closed_forms
-from chainisom.chain_maps import _trusted, compose, from_json, to_json
+from chainisom import ChainIsomError, DomainError, checks, closed_forms, isometry_families
+from chainisom.chain_maps import PartialInjection, _trusted, compose, from_json, to_json
 from chainisom.cli import _compact, main
+from chainisom.greens_structure import RELATIONS, greens_classes_criterion
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
 import helpers
@@ -52,29 +53,48 @@ class TestEnumerate:
         assert rows[-1] == {"n": 2, "map": [[1, 1], [2, 2]]}
 
     def test_lines_match_element_renderings(self, capsys):
-        # the lines are written directly, not through json.dumps or print
-        for n in range(8):
+        # the lines are rendered per domain from the enumeration walk, not
+        # through the element values, json.dumps or print
+        for n in range(11):
             for fam in (Family.DP, Family.ODP):
                 els = list(enumerate_fast(n, fam))
-                _, out = run(capsys, "enumerate", "--n", str(n), "--family",
-                             fam.value, "--format", "jsonl")
-                assert out.splitlines() == [_compact(to_json(a)) for a in els]
-                _, out = run(capsys, "enumerate", "--n", str(n), "--family",
-                             fam.value)
-                assert out.splitlines() == [str(a) for a in els]
+                for h in [None, *range(n + 1)]:
+                    want = [a for a in els if h is None or a.height == h]
+                    argv = ["enumerate", "--n", str(n), "--family", fam.value]
+                    if h is not None:
+                        argv += ["--height", str(h)]
+                    _, out = run(capsys, *argv, "--format", "jsonl")
+                    assert out.splitlines() == [_compact(to_json(a)) for a in want]
+                    _, out = run(capsys, *argv)
+                    assert out.splitlines() == [str(a) for a in want]
+
+    def test_builds_no_element(self, capsys, monkeypatch):
+        want = {fmt: run(capsys, "enumerate", "--n", "8", "--family", "dp",
+                         "--format", fmt) for fmt in ("text", "jsonl")}
+
+        def refuse(*args):
+            raise AssertionError("enumerate built an element")
+
+        monkeypatch.setattr(isometry_families, "_trusted", refuse)
+        monkeypatch.setattr(PartialInjection, "__init__", refuse)
+        for fmt, (code, out) in want.items():
+            assert code == 0 and out.count("\n") == 1435
+            assert run(capsys, "enumerate", "--n", "8", "--family", "dp",
+                       "--format", fmt) == (code, out)
 
     def test_cap_violation_exits_2(self, capsys):
-        code, _ = run(capsys, "enumerate", "--n", "21", "--family", "dp")
-        assert code == 2
-        code, _ = run(capsys, "enumerate", "--n", "5", "--family", "dp",
-                      "--cap", "3")
-        assert code == 2
+        # a refused request writes nothing: it is checked before the first line
+        for flags in (("--n", "21"), ("--n", "5", "--cap", "3")):
+            for fam in ("dp", "odp"):
+                for fmt in ("text", "jsonl"):
+                    assert run(capsys, "enumerate", *flags, "--family", fam,
+                               "--format", fmt) == (2, "")
 
     def test_height_out_of_range_exits_2(self, capsys):
-        code, out = run(capsys, "enumerate", "--n", "3", "--family", "odp",
-                        "--height", "99")
-        assert code == 2
-        assert out == ""
+        for height in ("99", "4", "-1"):
+            for fmt in ("text", "jsonl"):
+                assert run(capsys, "enumerate", "--n", "3", "--family", "odp",
+                           "--height", height, "--format", fmt) == (2, "")
 
     def test_usage_error_exits_2(self, capsys):
         assert run(capsys, "enumerate", "--n", "2", "--family", "xy")[0] == 2
@@ -566,6 +586,24 @@ class TestGreens:
         assert lines[0].endswith(": 4")
         assert lines[1] == "[0] size 1: ( / )"
         assert lines[2] == "[1] size 2: (1 / 1) (1 / 2)"
+
+    def test_json_is_written_as_json_dumps_writes_it(self, capsys):
+        # the classes are written one at a time, in the bytes of one
+        # json.dumps of the whole payload
+        for n in range(7):
+            for fam in (Family.DP, Family.ODP):
+                els = list(enumerate_fast(n, fam))
+                for rel in RELATIONS:
+                    partition = greens_classes_criterion(els, fam, rel)
+                    payload = {
+                        "n": n,
+                        "family": fam.value,
+                        "relation": rel,
+                        "classes": [[to_json(els[i]) for i in block] for block in partition],
+                    }
+                    code, out = run(capsys, "greens", "--n", str(n), "--family",
+                                    fam.value, "--classes", rel.lower(), "--format", "json")
+                    assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
 
     def test_json(self, capsys):
         code, out = run(capsys, "greens", "--n", "2", "--family", "dp",

@@ -11,6 +11,7 @@ from chainisom import (
     count_by,
     empirical_count_table,
     enumerate_fast,
+    enumerate_images,
     enumerate_oracle,
     inverse,
     is_member,
@@ -127,6 +128,41 @@ class TestFastEnumeration:
         fast, values = traced_bytes(lambda: list(enumerate_fast(10, Family.DP)))
         rebuilt, _ = traced_bytes(lambda: [PartialInjection(a.n, a.pairs) for a in values])
         assert fast <= 0.7 * rebuilt, (fast, rebuilt)
+
+    def test_equals_the_walk_rebuilt_pair_by_pair(self):
+        # enumerate_images hands out the walk enumerate_fast builds from;
+        # rebuilt through the validating constructor, in the walk's order,
+        # its maps are enumerate_fast's stream
+        for n in range(13):
+            for fam in BOTH:
+                rebuilt = [
+                    PartialInjection(n, zip(dom, img))
+                    for dom, images in enumerate_images(n, fam)
+                    for img in images
+                ]
+                assert list(enumerate_fast(n, fam)) == rebuilt
+
+    def test_images_by_domain(self):
+        for n in range(9):
+            for fam in BOTH:
+                walk = list(enumerate_images(n, fam))
+                # one entry per domain subset, each with at least one map
+                assert len(walk) == 2**n and all(images for _, images in walk)
+                for h in range(n + 1):
+                    assert list(enumerate_images(n, fam, height=h)) == [
+                        (dom, images) for dom, images in walk if len(dom) == h
+                    ]
+        assert list(enumerate_images(0, Family.DP)) == [((), [()])]
+
+    def test_images_check_the_request_eagerly(self):
+        # as enumerate_fast does: the error comes from the call itself,
+        # before the walk is iterated
+        with pytest.raises(LimitExceeded):
+            enumerate_images(21, Family.DP)
+        with pytest.raises(DomainError):
+            enumerate_images(3, Family.ODP, height=4)
+        with pytest.raises(DomainError):
+            enumerate_images(3, "dp")
 
     def test_canonical_order(self):
         for fam in BOTH:
