@@ -25,9 +25,9 @@ its result inline, and ``isometry_families.enumerate_fast`` (a translation
 or reflection restricted to an increasing domain), which builds through
 ``_trusted``.  Everything else, :func:`from_json` included, builds through
 the validating constructor.  The values ``enumerate_fast`` builds share
-their ``(x, y)`` tuples: one tuple per point pair of the chain, held by
-every value with that pair.  Tuples are immutable, so sharing them changes
-no value.
+their ``(x, y)`` tuples: one tuple per point pair that a call meets,
+held by every value of that call with that pair.  Tuples are immutable,
+so sharing them changes no value.
 """
 
 from __future__ import annotations

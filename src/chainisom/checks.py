@@ -194,23 +194,37 @@ def phi_bijection(lo, hi):
 
 
 def _first_split_pair(elements, criterion, oracle):
-    """The first index pair i < j that one of two partitions of the
-    elements puts in one block and the other splits, with both elements and
-    the route that joins them; ``None`` when no pair is split."""
-    block_c, block_o = (
-        {i: block for block in map(frozenset, partition) for i in block}
-        for partition in (criterion, oracle)
-    )
-    for i in range(len(elements)):
-        with_c = block_c[i]
-        later = [j for j in with_c ^ block_o[i] if j > i]
-        if later:
-            j = min(later)
-            return {
-                "elements": [{"index": x, **to_json(elements[x])} for x in (i, j)],
-                "joined_by": "criterion" if j in with_c else "oracle",
-            }
-    return None
+    """The first index pair that the criterion's classes and the oracle's,
+    compared in the order listed, put in one class and split, with both
+    elements and the route that joins them; ``None`` when none is found.
+
+    Classes are listed by their smallest members, so the k-th class of
+    either route is the class of the smallest index m that no earlier class
+    holds, and the oracle's k-th block holds m.  At the first k where the
+    blocks differ, the pair is m and the least index j that the
+    criterion's k-th block holds and the oracle's does not; failing one,
+    the least j other than m that the oracle's holds and the criterion's
+    does not; failing that too, where the criterion's block is the
+    oracle's without m, the least j it holds.  A class with a wrong member,
+    a missing member or a place out of order each give a pair.
+    """
+    for block_c, block_o in zip(criterion, oracle):
+        if block_c != block_o:
+            break
+    else:
+        return None
+    m = block_o[0]
+    with_c, with_o = set(block_c), set(block_o)
+    others = (with_c - with_o) or (with_o - with_c - {m})
+    if not others and m not in with_c:
+        others = with_c
+    if not others:
+        return None
+    j = min(others)
+    return {
+        "elements": [{"index": x, **to_json(elements[x])} for x in sorted((m, j))],
+        "joined_by": "oracle" if j in with_o else "criterion",
+    }
 
 
 def greens(lo, hi):
@@ -219,9 +233,15 @@ def greens(lo, hi):
             # build_table refuses an over-cap family before enumerating it all
             table = build_table(enumerate_fast(n, fam))
             oracle = greens_classes_oracle(table)
+            index = {el.pairs: i for i, el in enumerate(table.elements)}
             for rel in RELATIONS:
-                criterion = greens_classes_criterion(table.elements, fam, rel)
-                same = criterion == oracle[rel]
+                count, classes = greens_classes_criterion(n, fam, rel)
+                # each member's table index, the blocks kept in the order given
+                criterion = tuple(
+                    tuple(index[tuple(zip(dom, img))] for dom, img in block)
+                    for block in classes
+                )
+                same = count == len(oracle[rel]) and criterion == oracle[rel]
                 witness = (
                     None if same
                     else _first_split_pair(table.elements, criterion, oracle[rel])

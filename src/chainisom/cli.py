@@ -13,7 +13,7 @@ import sys
 import time
 from operator import getitem
 
-from .chain_maps import from_json, to_json, to_text
+from .chain_maps import from_json, to_text
 from .checks import CHECKS, run_check
 from .closed_forms import formula_count_table
 from .errors import ChainIsomError
@@ -32,6 +32,7 @@ from .isometry_families import (
     DEFAULT_ENUMERATION_CAP,
     STATISTICS,
     Family,
+    _Cells,
     empirical_count_table,
     enumerate_fast,
     enumerate_images,
@@ -159,7 +160,7 @@ def cmd_enumerate(args) -> int:
     # one write per domain, of the lines of the maps on it: the bytes of
     # _compact(to_json(a)) in jsonl and of to_text(a) in text, for each map a
     if args.format == "jsonl":
-        cell = [[f"[{x},{y}]" for y in range(n + 1)] for x in range(n + 1)]
+        cell = _Cells(lambda x: _Cells(lambda y: f"[{x},{y}]"))
         head, tail = '{"map":[', f'],"n":{n}}}\n'
         between = tail + head
         for dom, images in walk:
@@ -219,31 +220,34 @@ def cmd_verify(args) -> int:
 
 
 def cmd_greens(args) -> int:
-    fam = Family(args.family)
-    relation = args.classes.upper()
-    elements = list(enumerate_fast(args.n, fam, cap=args.cap))
-    partition = greens_classes_criterion(elements, fam, relation)
+    n, fam, relation = args.n, Family(args.family), args.classes.upper()
+    # the request is checked here, before the first line is written
+    count, classes = greens_classes_criterion(n, fam, relation, cap=args.cap)
+    write = sys.stdout.write
     if args.format == "json":
         # the bytes of json.dumps(payload, indent=2) for the payload
         # {"n", "family", "relation", "classes"}, written one class at a
         # time so that no more than one class is held as JSON
-        write = sys.stdout.write
-        head = _dumps({"n": args.n, "family": fam.value, "relation": relation}, indent=2)
+        head = _dumps({"n": n, "family": fam.value, "relation": relation}, indent=2)
         write(head[:-2] + ',\n  "classes": [')  # head[:-2] drops its "\n}"
         between = "\n"
-        for block in partition:
-            members = _dumps([to_json(elements[i]) for i in block], indent=2)
-            write(between + "    " + members.replace("\n", "\n    "))
+        for block in classes:
+            # each map as to_json writes it
+            maps = [{"n": n, "map": [[x, y] for x, y in zip(dom, img)]} for dom, img in block]
+            write(between + "    " + _dumps(maps, indent=2).replace("\n", "\n    "))
             between = ",\n"
         # every family holds the empty map, so there is at least one class
         write("\n  ]\n}\n")
         return EXIT_OK
-    print(
-        f"{relation}-classes of {fam.value} on the {args.n}-chain: {len(partition)}"
-    )
-    for k, block in enumerate(partition):
-        members = " ".join([to_text(elements[i]) for i in block])
-        print(f"[{k}] size {len(block)}: {members}")
+    # each map as to_text writes it
+    text_of = [str(i) for i in range(n + 1)].__getitem__
+    write(f"{relation}-classes of {fam.value} on the {n}-chain: {count}\n")
+    for k, block in enumerate(classes):
+        maps = " ".join([
+            "(" + " ".join(map(text_of, dom)) + " / " + " ".join(map(text_of, img)) + ")"
+            for dom, img in block
+        ])
+        write(f"[{k}] size {len(block)}: {maps}\n")
     return EXIT_OK
 
 

@@ -2,16 +2,24 @@
 
 Two independent routes to the Green's relations are kept side by side:
 
-* the criterion route works directly on elements (equal domains for R,
-  equal images for L, both for H, matching gap signatures for D);
+* the criterion route reads the classes off the enumeration walk of
+  ``isometry_families`` (equal domains for R, equal image sets for L, both
+  for H, matching gap signatures for D) and builds no element value.
+  :func:`greens_classes_criterion` returns the class count, worked out by
+  arithmetic, and a generator over the classes, one at a time, each a list
+  of ``(domain, image)`` pairs;
 * the oracle route works on a finished multiplication table using nothing
   but principal ideals, with an implicit external identity adjoined so the
   same code is correct on sub-tables and quotients that lack one.  One call
-  returns all four partitions, so a table's associativity is checked once
-  and its principal right and left sets are built once.
+  returns all four partitions, as tuples of blocks of element indices, so
+  a table's associativity is checked once and its principal right and left
+  sets are built once.
 
-Both routes return a partition as a tuple of blocks of element indices.
-The ``greens`` check and the test suite check that they are identical.
+Both list the classes by their first members in enumeration order, and
+the members of a class in that order too.  The ``greens`` check maps each
+criterion member to its index in the table's elements and requires the
+blocks, in the order given, and the count to equal the oracle's; so does
+the test suite.  The two routes share no code.
 
 Every table built here holds :class:`PartialInjection` values only, and
 its zero is the empty map; in a Rees quotient that stands for the ideal
@@ -26,10 +34,11 @@ one and reruns are reproducible.
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from collections.abc import Iterator
 from itertools import combinations, islice
 from operator import itemgetter
 
-from .chain_maps import PartialInjection, compose, gap_signature, to_json
+from .chain_maps import PartialInjection, compose, to_json
 from .errors import (
     DomainError,
     LimitExceeded,
@@ -38,7 +47,14 @@ from .errors import (
     NotAssociative,
     NotClosed,
 )
-from .isometry_families import Family, enumerate_fast
+from .isometry_families import (
+    DEFAULT_ENUMERATION_CAP,
+    Family,
+    _check_request,
+    _images,
+    _walk,
+    enumerate_fast,
+)
 
 # Tables are dense k*k index matrices; beyond ~2000 elements they stop
 # being "desk scale" (the 9-chain already has 2950 isometries).
@@ -62,37 +78,135 @@ def _partition_from_keys(keys) -> tuple[tuple[int, ...], ...]:
 
 
 def greens_classes_criterion(
-    elements, family: Family, relation: str
-) -> tuple[tuple[int, ...], ...]:
-    """Partition by one of R, L, H, D from the direct structural criteria
-    (no table needed)."""
-    if not isinstance(family, Family):
-        raise DomainError(f"family must be a Family, got {family!r}")
+    n: int, family: Family, relation: str, cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[int, Iterator[list[tuple[tuple[int, ...], tuple[int, ...]]]]]:
+    """The R-, L-, H- or D-classes of the family on the n-chain, read off
+    the enumeration walk: no element value is built.
+
+    Returns ``(count, classes)``.  ``count`` is the number of classes,
+    worked out by arithmetic during the call.  ``classes`` is a generator
+    over the classes, listed by their first members in the order of
+    :func:`enumerate_fast`; each class is a list of ``(domain, image)``
+    pairs, the map ``zip(domain, image)``, in that order too, and only one
+    class is held at a time.  The arguments are checked as by
+    :func:`enumerate_fast`, and ``relation`` must be one of R, L, H, D in
+    either case, before anything is walked.
+
+    >>> count, classes = greens_classes_criterion(2, Family.DP, "H")
+    >>> count, list(classes)[-1]
+    (6, [((1, 2), (1, 2)), ((1, 2), (2, 1))])
+    """
+    _check_request(n, family, None, cap)
     rel = str(relation).upper()
     if rel not in RELATIONS:
         raise DomainError(f"unknown Green's relation {relation!r}")
-    elements = list(elements)
-    if any(el.n != elements[0].n for el in elements):
-        raise MismatchedChain("all elements must live on the same chain")
-    # keys are generated, not listed, so only one key per block is held
-    if rel == "R":
-        keys = (el.domain for el in elements)
-    elif rel == "L":
-        keys = (el.image for el in elements)
+    if rel in ("R", "L"):
+        # one class per domain subset (every subset carries the translation
+        # by 0), and one per image set, that is per subset again
+        count = 1 << n
     elif rel == "H":
-        keys = ((el.domain, el.image) for el in elements)
+        count = 1 + sum(
+            _h_class_count(n, family, dom)
+            for h in range(1, n + 1)
+            for dom in combinations(range(1, n + 1), h)
+        )
     else:
-        keys = (_d_key(el, family) for el in elements)
-    return _partition_from_keys(keys)
+        count = 1 + sum(1 for _ in _openers(n, family))
+    return count, _CLASSES[rel](n, family)
 
 
-def _d_key(el, family):
-    # height and gap signature; a DP reflection reverses the signature, so
-    # a signature and its reverse name one D-class there
-    sig = gap_signature(el.domain)
-    if family is Family.DP:
-        sig = min(sig, sig[::-1])
-    return el.height, sig
+# The criteria, read off the walk.  R: the maps on one domain.  H: the maps
+# on one domain with one image set; only on a dp domain that is its own
+# mirror does that join two maps, the reflection x -> c - x and the
+# translation by c - lo - hi.  L: the maps onto one image set B, the
+# inverses of the maps on B.  D: the maps on every domain with one gap
+# signature, or for dp with it or its reverse.  An L- or D-class first
+# occurs at the least domain that is left-aligned (holds the point 1) and
+# maps onto its image sets, or carries its signature: see _openers.
+
+def _mirror(dom):
+    # dom reflected onto its own span lo..hi
+    total = dom[0] + dom[-1]
+    return tuple([total - x for x in reversed(dom)])
+
+
+def _merges(family, dom):
+    return family is Family.DP and len(dom) >= 2 and _mirror(dom) == dom
+
+
+def _h_class_count(n, family, dom):
+    # n - (hi - lo) translations, and for dp from two points up as many
+    # reflections, each joining a translation when dom is its own mirror
+    shifts = n - dom[-1] + dom[0]
+    if family is Family.DP and len(dom) >= 2 and not _merges(family, dom):
+        return 2 * shifts
+    return shifts
+
+
+def _openers(n, family):
+    """The left-aligned domains, in walk order, at which the L- and
+    D-classes of the nonempty maps open.  A domain mapping onto a set B, or
+    sharing a signature, is a translate of one left-aligned domain E, or
+    for dp also of its mirror, and those two come first in the walk; so for
+    dp the classes open at the lesser of E and its mirror."""
+    for h in range(1, n + 1):
+        for rest in combinations(range(2, n + 1), h - 1):
+            dom = (1, *rest)
+            if family is Family.ODP or dom <= _mirror(dom):
+                yield dom
+
+
+def _r_classes(n, family):
+    for dom, images in _walk(n, family, None):
+        yield [(dom, img) for img in images]
+
+
+def _h_classes(n, family):
+    for dom, images in _walk(n, family, None):
+        if _merges(family, dom):
+            # the translation onto a set and the reflection onto it share
+            # their least image point
+            joined = {}
+            for img in images:
+                joined.setdefault(min(img), []).append((dom, img))
+            yield from joined.values()
+        else:
+            for img in images:
+                yield [(dom, img)]
+
+
+def _l_classes(n, family):
+    yield [((), ())]
+    for dom in _openers(n, family):
+        # the image sets of the maps on dom, in order of first occurrence
+        sets = dict.fromkeys(
+            img if img[0] <= img[-1] else img[::-1] for img in _images(n, family, dom)
+        )
+        for image in sets:
+            # the inverse of the map zip(image, b) is zip(b, image), listed
+            # by increasing domain point; the maps have one height, so the
+            # sorted pairs are in walk order
+            yield sorted(
+                (b, image) if b[0] <= b[-1] else (b[::-1], image[::-1])
+                for b in _images(n, family, image)
+            )
+
+
+def _d_classes(n, family):
+    yield [((), ())]
+    for dom in _openers(n, family):
+        mirror = _mirror(dom)
+        starts = (dom,) if family is Family.ODP or mirror == dom else (dom, mirror)
+        block = []
+        # the translates of dom (and of its mirror) by t, in walk order
+        for t in range(n - dom[-1] + 1):
+            for start in starts:
+                shifted = tuple([x + t for x in start])
+                block += [(shifted, img) for img in _images(n, family, shifted)]
+        yield block
+
+
+_CLASSES = {"R": _r_classes, "L": _l_classes, "H": _h_classes, "D": _d_classes}
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,19 @@ element sources are provided:
   order-reversing case), so it suffices to walk domain subsets and the
   shifts/centres that keep the image inside the chain.  Height <= 1
   elements are emitted from the translation pass only, since there the two
-  representations produce the same maps.  That walk is written once and
-  has two consumers.  :func:`enumerate_images` hands it out as it is, one
-  ``(domain, images)`` pair per domain subset, and builds no element
-  value: the CLI renders ``enumerate`` output straight from it.
-  :func:`enumerate_fast` builds one value per image.  Each element is
-  canonical by construction, so it is built without re-running the
+  representations produce the same maps.  The rule giving the images of
+  one domain is written once, in ``_images``, and the walk over the
+  domains once, in ``_walk``.  :func:`enumerate_images` hands the walk out
+  as it is, one ``(domain, images)`` pair per domain subset, and builds no
+  element value: the CLI renders ``enumerate`` output straight from it,
+  and ``greens_structure`` reads the Green's classes off the walk and the
+  rule.  :func:`enumerate_fast` builds one value per image.  Each element
+  is canonical by construction, so it is built without re-running the
   :class:`PartialInjection` validation; besides ``chain_maps.compose``
   this is the only unvalidated construction site.  The elements of one
-  call share their ``(x, y)`` tuples, one per point pair of the chain, so
-  an element holds one tuple of references and no pairs of its own: about
-  half the memory of a validated rebuild.
+  call share their ``(x, y)`` tuples, one per point pair met, made on
+  first use, so an element holds one tuple of references and no pairs of
+  its own: about half the memory of a validated rebuild.
 * :func:`enumerate_oracle` generates every partial injection of the chain
   through the validating constructor and filters by membership.  It is
   deliberately naive; the ``oracle-equivalence`` check and the test suite
@@ -151,21 +153,41 @@ def _walk(n, family, height):
             yield (), [()]  # the empty map
             continue
         for dom in combinations(range(1, n + 1), h):
-            lo, hi = dom[0], dom[-1]
-            images = [
-                tuple(x + t for x in dom) for t in range(1 - lo, n - hi + 1)
-            ]
-            if family is Family.DP and h >= 2:
-                images.extend(
-                    tuple(c - x for x in dom) for c in range(hi + 1, n + lo + 1)
-                )
-            images.sort()
-            yield dom, images
+            yield dom, _images(n, family, dom)
+
+
+def _images(n, family, dom):
+    """The image tuples of the family's maps on the nonempty domain ``dom``,
+    each in domain order, listed in canonical order: the translations
+    x -> x + t that keep the image in 1..n and, for dp from two points up,
+    the reflections x -> c - x that do."""
+    lo, hi = dom[0], dom[-1]
+    images = [tuple(x + t for x in dom) for t in range(1 - lo, n - hi + 1)]
+    if family is Family.DP and len(dom) >= 2:
+        images.extend(tuple(c - x for x in dom) for c in range(hi + 1, n + lo + 1))
+        images.sort()
+    return images
+
+
+class _Cells(dict):
+    """A dict that makes a missing entry on first use, as ``make(key)``,
+    and keeps it, so a table over the point pairs of a long chain holds
+    only the entries a walk meets."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _generate(n, family, height):
     # pair[x][y] is the (x, y) tuple every element of this call holds
-    pair = [[(x, y) for y in range(n + 1)] for x in range(n + 1)]
+    pair = _Cells(lambda x: _Cells(lambda y: (x, y)))
     for dom, images in _walk(n, family, height):
         rows = [pair[x] for x in dom]
         for img in images:

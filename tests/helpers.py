@@ -14,6 +14,7 @@ from chainisom import (
     compose,
     enumerate_fast,
     gap_signature,
+    greens_classes_criterion,
     is_member,
 )
 
@@ -81,9 +82,13 @@ def first_product_outside_all_pairs(elements, family):
 
 
 def criterion_partition_reference(elements, family, relation):
-    """Green's classes by the structural criteria, with every element's key
-    listed before grouping: the reference for ``greens_classes_criterion``,
-    which generates its keys and keeps one per block."""
+    """Green's classes by the structural criteria, read off the element
+    values: equal domains for R, equal images for L, both for H, and for D
+    equal heights and gap signatures (up to reversal for dp).  Every key is
+    listed before grouping.  This is the reference for
+    ``greens_classes_criterion``, which reads the classes off the
+    enumeration walk and builds no value; compare through
+    :func:`criterion_blocks`."""
 
     def d_key(a):
         sig = gap_signature(a.domain)
@@ -103,6 +108,17 @@ def criterion_partition_reference(elements, family, relation):
         blocks.setdefault(key, []).append(i)
     # blocks are disjoint, so sorting them sorts them by smallest member
     return tuple(sorted(tuple(block) for block in blocks.values()))
+
+
+def criterion_blocks(n, family, relation, route=greens_classes_criterion):
+    """``route``'s class count, and its classes as blocks of indices into
+    ``elements(n, family)``, kept in the order the route lists them."""
+    index = {a.pairs: i for i, a in enumerate(elements(n, family))}
+    count, classes = route(n, family, relation)
+    blocks = tuple(
+        tuple(index[tuple(zip(dom, img))] for dom, img in block) for block in classes
+    )
+    return count, blocks
 
 
 def associative_exhaustive(tab) -> bool:

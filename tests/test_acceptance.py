@@ -111,13 +111,9 @@ def test_criterion_5_greens():
         # n = 0..5, both families, R L H D
         all_pass("greens", 0, 5, 6 * 2 * 4)
         for n in range(7):
-            odp_h = greens_classes_criterion(
-                list(elements(n, Family.ODP)), Family.ODP, "H"
-            )
+            _, odp_h = greens_classes_criterion(n, Family.ODP, "H")
             assert all(len(block) == 1 for block in odp_h), n
-            dp_h = greens_classes_criterion(
-                list(elements(n, Family.DP)), Family.DP, "H"
-            )
+            _, dp_h = greens_classes_criterion(n, Family.DP, "H")
             assert {len(block) for block in dp_h} <= {1, 2}, n
 
 

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,11 +13,16 @@ import chainisom
 from chainisom import ChainIsomError, DomainError, checks, closed_forms, isometry_families
 from chainisom.chain_maps import PartialInjection, _trusted, compose, from_json, to_json
 from chainisom.cli import _compact, main
-from chainisom.greens_structure import RELATIONS, greens_classes_criterion
+from chainisom.greens_structure import RELATIONS
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
 import helpers
-from helpers import count_by_reference, first_product_outside_all_pairs, table
+from helpers import (
+    count_by_reference,
+    criterion_partition_reference,
+    first_product_outside_all_pairs,
+    table,
+)
 from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
 
 
@@ -81,6 +89,24 @@ class TestEnumerate:
             assert code == 0 and out.count("\n") == 1435
             assert run(capsys, "enumerate", "--n", "8", "--family", "dp",
                        "--format", fmt) == (code, out)
+
+    def test_jsonl_cells_are_made_only_for_the_points_met(self):
+        # at heights 0, n - 1 and n the walk meets at most 4n of the
+        # (n + 1)^2 cells; a table of them all took about 11 MB at n = 400
+        def peak(*flags):
+            argv = ["enumerate", "--n", "400", "--family", "dp", "--cap", "400", *flags]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        for height in ("0", "399", "400"):
+            text = peak("--height", height)
+            jsonl = peak("--height", height, "--format", "jsonl")
+            assert jsonl <= text + 2_000_000, (height, text, jsonl)
 
     def test_cap_violation_exits_2(self, capsys):
         # a refused request writes nothing: it is checked before the first line
@@ -592,9 +618,9 @@ class TestGreens:
         # json.dumps of the whole payload
         for n in range(7):
             for fam in (Family.DP, Family.ODP):
-                els = list(enumerate_fast(n, fam))
+                els = helpers.elements(n, fam)
                 for rel in RELATIONS:
-                    partition = greens_classes_criterion(els, fam, rel)
+                    partition = criterion_partition_reference(els, fam, rel)
                     payload = {
                         "n": n,
                         "family": fam.value,
@@ -604,6 +630,58 @@ class TestGreens:
                     code, out = run(capsys, "greens", "--n", str(n), "--family",
                                     fam.value, "--classes", rel.lower(), "--format", "json")
                     assert (code, out) == (0, json.dumps(payload, indent=2) + "\n")
+
+    def test_text_matches_element_renderings(self, capsys):
+        for n in range(8):
+            for fam in (Family.DP, Family.ODP):
+                els = helpers.elements(n, fam)
+                for rel in RELATIONS:
+                    partition = criterion_partition_reference(els, fam, rel)
+                    want = [f"{rel}-classes of {fam.value} on the {n}-chain: {len(partition)}"]
+                    want += [
+                        f"[{k}] size {len(block)}: " + " ".join(str(els[i]) for i in block)
+                        for k, block in enumerate(partition)
+                    ]
+                    code, out = run(capsys, "greens", "--n", str(n), "--family",
+                                    fam.value, "--classes", rel.lower())
+                    assert (code, out.splitlines()) == (0, want)
+
+    def test_builds_no_element(self, capsys, monkeypatch):
+        def greens(fam, rel, fmt):
+            return run(capsys, "greens", "--n", "7", "--family", fam,
+                       "--classes", rel, "--format", fmt)
+
+        cases = [(fam, rel, fmt) for fam in ("dp", "odp") for rel in "rlhd"
+                 for fmt in ("text", "json")]
+        want = {case: greens(*case) for case in cases}
+
+        def refuse(*args):
+            raise AssertionError("greens built an element")
+
+        monkeypatch.setattr(isometry_families, "_trusted", refuse)
+        monkeypatch.setattr(PartialInjection, "__init__", refuse)
+        for case in cases:
+            assert want[case][0] == 0 and greens(*case) == want[case]
+
+    def test_holds_one_class_at_a_time(self):
+        # the peak under tracemalloc was 6.8 MB when every element was built
+        # and one partition made of them all; output goes to a sink
+        argv = ["greens", "--n", "12", "--family", "odp", "--classes", "h"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(argv)  # loads what a first run loads, untraced
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 6_825_134 // 4, peak
+
+    def test_refused_request_writes_nothing(self, capsys):
+        for flags in (("--n", "21"), ("--n", "5", "--cap", "3"), ("--n", "-1")):
+            for fmt in ("text", "json"):
+                assert run(capsys, "greens", *flags, "--family", "dp",
+                           "--classes", "h", "--format", fmt) == (2, "")
 
     def test_json(self, capsys):
         code, out = run(capsys, "greens", "--n", "2", "--family", "dp",

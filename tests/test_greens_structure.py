@@ -1,5 +1,7 @@
+import inspect
 import json
 import random
+import types
 
 import pytest
 
@@ -29,10 +31,11 @@ from chainisom import (
     replay_witness,
     witness_to_json,
 )
-from chainisom import checks, cli, greens_structure
-from chainisom.greens_structure import RELATIONS
+from chainisom import checks, cli, greens_structure, order_odp
+from chainisom.greens_structure import RELATIONS, _partition_from_keys
 from helpers import (
     associative_exhaustive,
+    criterion_blocks,
     criterion_partition_reference,
     elements,
     rees_quotient_reference,
@@ -100,12 +103,6 @@ class TestPreorders:
                         assert (i in right[j]) == (set(a.domain) <= set(b.domain))
                         assert (i in left[j]) == (set(a.image) <= set(b.image))
 
-    def test_mismatched_chain(self):
-        mixed = [PartialInjection(3), PartialInjection(4)]
-        for rel in RELATIONS:
-            with pytest.raises(MismatchedChain):
-                greens_classes_criterion(mixed, Family.DP, rel)
-
 
 class TestDOrder:
     # the D (= J) order: Dom a embeds into Dom b by a translation, or for
@@ -147,7 +144,7 @@ class TestDOrder:
                 tab = table(n, fam)
                 ideals = two_sided_ideals(tab)
                 d_class = {}
-                classes = greens_classes_criterion(tab.elements, fam, "D")
+                _, classes = criterion_blocks(n, fam, "D")
                 for cid, block in enumerate(classes):
                     d_class.update(dict.fromkeys(block, cid))
                 for a in range(len(tab)):
@@ -157,54 +154,139 @@ class TestDOrder:
                         )
 
 
+# Class counts of the criterion route, n = 0..12.  R and L: one class per
+# domain subset and one per image set.  odp: 2^(n-1) + 1 D-classes (a gap
+# signature, or the empty map) and one H-class per element.
+DP_D_COUNTS = [1, 2, 3, 5, 8, 14, 24, 44, 80, 152, 288, 560, 1088]
+DP_H_COUNTS = [1, 2, 6, 16, 40, 96, 224, 508, 1124, 2432, 5168, 10820, 22396]
+
+
 class TestCriterionPartitions:
     def test_r_classes_of_odp2(self):
-        els = list(elements(2, Family.ODP))
-        classes = greens_classes_criterion(els, Family.ODP, "R")
+        count, classes = greens_classes_criterion(2, Family.ODP, "R")
+        assert count == 4
         assert sorted(len(block) for block in classes) == [1, 1, 2, 2]
 
     def test_d_class_counts_on_the_4_chain(self):
         # Domain gap profiles among subsets of {1..4}: (), () at height 1,
         # (1), (2), (3), (1,1), (1,2), (2,1), (1,1,1).  Order-preserving
         # maps separate (1,2) from (2,1); allowing reflections merges them.
-        odp = greens_classes_criterion(list(elements(4, Family.ODP)), Family.ODP, "D")
-        dp = greens_classes_criterion(list(elements(4, Family.DP)), Family.DP, "D")
-        assert len(odp) == 9
-        assert len(dp) == 8
+        for fam, want in ((Family.ODP, 9), (Family.DP, 8)):
+            count, classes = greens_classes_criterion(4, fam, "D")
+            assert count == len(list(classes)) == want
 
     def test_h_classes_odp_singletons(self):
         for n in range(7):
-            classes = greens_classes_criterion(
-                list(elements(n, Family.ODP)), Family.ODP, "H"
-            )
+            _, classes = greens_classes_criterion(n, Family.ODP, "H")
             assert all(len(block) == 1 for block in classes)
 
     def test_h_classes_dp_at_most_two(self):
         for n in range(7):
-            classes = greens_classes_criterion(
-                list(elements(n, Family.DP)), Family.DP, "H"
-            )
+            _, classes = greens_classes_criterion(n, Family.DP, "H")
             assert {len(block) for block in classes} <= {1, 2}
 
     def test_equals_list_keys_reference_up_to_10(self):
+        # the blocks in the order listed, not re-sorted, and the count
         for n in range(11):
             for fam in BOTH:
-                els = list(elements(n, fam))
+                els = elements(n, fam)
                 for rel in RELATIONS:
-                    got = greens_classes_criterion(els, fam, rel)
-                    assert got == criterion_partition_reference(els, fam, rel), (
-                        n, fam, rel
-                    )
+                    count, blocks = criterion_blocks(n, fam, rel)
+                    want = criterion_partition_reference(els, fam, rel)
+                    assert blocks == want, (n, fam, rel)
+                    assert count == len(want), (n, fam, rel)
+
+    def test_class_counts_up_to_12(self):
+        def count(n, fam, rel):
+            return greens_classes_criterion(n, fam, rel)[0]
+
+        for n in range(13):
+            for fam in BOTH:
+                assert count(n, fam, "R") == count(n, fam, "L") == 2**n
+            assert count(n, Family.DP, "D") == DP_D_COUNTS[n]
+            assert count(n, Family.DP, "H") == DP_H_COUNTS[n]
+            assert count(n, Family.ODP, "D") == (2 ** (n - 1) + 1 if n else 1)
+            assert count(n, Family.ODP, "H") == order_odp(n)
 
     def test_unknown_relation(self):
-        with pytest.raises(DomainError):
-            greens_classes_criterion(list(elements(2, Family.DP)), Family.DP, "J")
+        with pytest.raises(DomainError, match="unknown Green's relation 'J'"):
+            greens_classes_criterion(2, Family.DP, "J")
 
     def test_non_family_rejected(self):
         # a bare string would otherwise get odp's D criterion: 9 D-classes
         # for the dp elements of the 4-chain, where dp has 8
-        with pytest.raises(DomainError):
-            greens_classes_criterion(list(elements(4, Family.DP)), "dp", "D")
+        with pytest.raises(DomainError, match="family must be a Family"):
+            greens_classes_criterion(4, "dp", "D")
+
+    @pytest.mark.parametrize("n", [-1, 2.0, True, "2"])
+    def test_chain_size_must_be_a_non_negative_int(self, n):
+        for rel in RELATIONS:
+            with pytest.raises(DomainError, match="chain size"):
+                greens_classes_criterion(n, Family.DP, rel)
+
+    def test_cap_is_checked_by_the_call(self):
+        # raised by the call itself, before any class is asked for, with
+        # enumerate_fast's error and message
+        for rel in RELATIONS:
+            with pytest.raises(LimitExceeded, match="enumeration at n=21 exceeds the cap 20"):
+                greens_classes_criterion(21, Family.ODP, rel)
+            with pytest.raises(LimitExceeded, match="exceeds the cap 3"):
+                greens_classes_criterion(5, Family.DP, rel, cap=3)
+            with pytest.raises(DomainError, match="cap must be an int"):
+                greens_classes_criterion(5, Family.DP, rel, cap=20.0)
+            assert greens_classes_criterion(5, Family.DP, rel, cap=5)[0] > 0
+
+
+def reached_names(fn):
+    """The names that ``fn`` refers to, globals and attributes alike, with
+    those of every package function it reaches: a function named by one
+    of them, or held in a dict so named, is followed in turn, as is the
+    code of a function defined inside one."""
+    names, seen, todo = set(), set(), [fn]
+    while todo:
+        f = todo.pop()
+        if f in seen:
+            continue
+        seen.add(f)
+        codes = [f.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            for name in code.co_names:
+                target = f.__globals__.get(name)
+                found = target.values() if isinstance(target, dict) else [target]
+                todo += [
+                    g for g in found
+                    if inspect.isfunction(g) and g.__module__.startswith(("chainisom", __name__))
+                ]
+    return names
+
+
+def calls_partition_from_keys(n):
+    return _partition_from_keys(range(n))
+
+
+class TestRouteIndependence:
+    # the two Green's routes share no code: the criterion route reads the
+    # enumeration walk and never a table, the oracle reads a table alone
+    def test_criterion_reaches_no_table_code(self):
+        reached = reached_names(greens_classes_criterion)
+        assert {"_walk", "_images", "_check_request"} <= reached
+        for name in ("_partition_from_keys", "compose", "build_table", "SemigroupTable"):
+            assert name not in reached, name
+
+    def test_oracle_reaches_no_walk_code(self):
+        reached = reached_names(greens_classes_oracle)
+        assert "_partition_from_keys" in reached
+        for name in ("_walk", "gap_signature", "_d_key"):
+            assert name not in reached, name
+
+    def test_walker_flags_a_call_to_the_partition_helper(self):
+        def route(n):
+            return calls_partition_from_keys(n)
+
+        assert "_partition_from_keys" in reached_names(route)
 
 
 def assert_well_formed(partition, k):
@@ -224,8 +306,9 @@ class TestPartitionShape:
                 assert tuple(oracle) == RELATIONS
                 for rel in RELATIONS:
                     assert_well_formed(oracle[rel], len(tab))
-                    crit = greens_classes_criterion(tab.elements, fam, rel)
+                    count, crit = criterion_blocks(n, fam, rel)
                     assert_well_formed(crit, len(tab))
+                    assert count == len(crit)
 
     def test_oracle_covers_rees_quotients(self):
         for tab in rees_tables(5):
@@ -235,47 +318,103 @@ class TestPartitionShape:
                 assert_well_formed(oracle[rel], len(tab))
 
 
+def seeded_greens_failures(monkeypatch, capsys, fault):
+    """Run ``verify --check greens`` on the 3-chain with the criterion
+    route's classes passed through ``fault(relation, classes)``.  Returns
+    the failing instances as (family, relation, joined_by, (i, a), (j, b)),
+    after checking that each witness is a split pair: the k-th class of
+    either route is the class of the least index no earlier class holds,
+    and at the first k where the blocks differ, that index i and j are in
+    i's class in one route and in different blocks of the other."""
+    real = checks.greens_classes_criterion
+
+    def faulty(n, fam, rel):
+        count, classes = real(n, fam, rel)
+        return count, iter(fault(rel, list(classes)))
+
+    monkeypatch.setattr(checks, "greens_classes_criterion", faulty)
+    assert cli.main(["verify", "--check", "greens", "--n-range", "3..3",
+                     "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failing = []
+    for inst in report["instances"]:
+        if inst["pass"]:
+            continue
+        fam, rel = Family(inst["params"]["family"]), inst["params"]["relation"]
+        tab = table(3, fam)
+        witness = inst["witness"]
+        (i, a), (j, b) = ((e["index"], from_json(e)) for e in witness["elements"])
+        assert i < j and (tab.elements[i], tab.elements[j]) == (a, b)
+        _, crit = criterion_blocks(3, fam, rel, route=faulty)
+        orc = greens_classes_oracle(tab)[rel]
+        k = next(k for k, (x, y) in enumerate(zip(crit, orc)) if x != y)
+        joined, split = (crit, orc) if witness["joined_by"] == "criterion" else (orc, crit)
+        assert i == orc[k][0] and j in joined[k] and j not in split[k]
+        assert not any(i in block and j in block for block in split)
+        failing.append((fam.value, rel, witness["joined_by"], (i, a), (j, b)))
+    return failing
+
+
 class TestOracleAgreement:
     def test_criterion_equals_oracle(self):
         for n in range(5):
             for fam in BOTH:
-                els = list(elements(n, fam))
-                tab = table(n, fam)
-                orc = greens_classes_oracle(tab)
+                orc = greens_classes_oracle(table(n, fam))
                 for rel in RELATIONS:
-                    crit = greens_classes_criterion(els, fam, rel)
-                    assert crit == orc[rel], (n, fam, rel)
+                    assert criterion_blocks(n, fam, rel) == (len(orc[rel]), orc[rel])
 
     def test_greens_check_witnesses_a_merged_block(self, monkeypatch, capsys):
         # a criterion route that merges the second and third R-blocks must
         # fail the check on both families, with a pair that it joins and
         # the oracle splits
-        real = checks.greens_classes_criterion
+        def merge(rel, blocks):
+            return blocks[:1] + [blocks[1] + blocks[2]] + blocks[3:] if rel == "R" else blocks
 
-        def merging(els, fam, rel):
-            blocks = list(real(els, fam, rel))
-            if rel == "R":
-                blocks[1:3] = [tuple(sorted(blocks[1] + blocks[2]))]
-            return tuple(blocks)
-
-        monkeypatch.setattr(checks, "greens_classes_criterion", merging)
-        assert cli.main(["verify", "--check", "greens", "--n-range", "3..3",
-                         "--format", "json"]) == 1
-        report = json.loads(capsys.readouterr().out)
-        failing = [inst for inst in report["instances"] if not inst["pass"]]
-        assert [inst["params"]["relation"] for inst in failing] == ["R", "R"]
-        for inst in failing:
-            tab = table(3, Family(inst["params"]["family"]))
-            witness = inst["witness"]
-            assert witness["joined_by"] == "criterion"
-            (i, a), (j, b) = ((e["index"], from_json(e)) for e in witness["elements"])
-            assert i < j and (tab.elements[i], tab.elements[j]) == (a, b)
-            # the merged blocks' first members, split by the oracle
-            crit_r = real(tab.elements, Family(inst["params"]["family"]), "R")
+        failing = seeded_greens_failures(monkeypatch, capsys, merge)
+        assert [(fam, rel) for fam, rel, *_ in failing] == [("dp", "R"), ("odp", "R")]
+        for fam, _, joined_by, (i, a), (j, b) in failing:
+            assert joined_by == "criterion"
+            # the merged blocks' first members
+            _, crit_r = criterion_blocks(3, Family(fam), "R")
             assert (i, j) == (crit_r[1][0], crit_r[2][0])
-            oracle_r = greens_classes_oracle(tab)["R"]
-            assert not any(i in block and j in block for block in oracle_r)
             assert a.domain != b.domain
+
+    def test_greens_check_witnesses_an_unmerged_h_pair(self, monkeypatch, capsys):
+        # an H route that lists every map alone misses the dp pairs of a
+        # translation and a reflection onto one set, from a domain that is
+        # its own mirror; the oracle joins them
+        def split(rel, blocks):
+            return [[m] for block in blocks for m in block] if rel == "H" else blocks
+
+        failing = seeded_greens_failures(monkeypatch, capsys, split)
+        assert [(fam, rel) for fam, rel, *_ in failing] == [("dp", "H")]
+        _, _, joined_by, (_, a), (_, b) = failing[0]
+        assert joined_by == "oracle"
+        assert (a.domain, a.image) == (b.domain, b.image) == ((1, 2), (1, 2))
+        assert b == PartialInjection(3, [(1, 2), (2, 1)])
+
+    def test_greens_check_witnesses_classes_out_of_order(self, monkeypatch, capsys):
+        # the right D-classes with the second and third swapped: the second
+        # listed class must be that of the least index outside the first
+        def swap(rel, blocks):
+            return blocks[:1] + blocks[2:0:-1] + blocks[3:] if rel == "D" else blocks
+
+        failing = seeded_greens_failures(monkeypatch, capsys, swap)
+        assert [(fam, rel) for fam, rel, *_ in failing] == [("dp", "D"), ("odp", "D")]
+        for fam, _, joined_by, (i, a), (j, b) in failing:
+            _, crit_d = criterion_blocks(3, Family(fam), "D")
+            assert joined_by == "criterion"
+            assert (i, j) == (crit_d[1][0], crit_d[2][0])
+            assert (a.height, b.height) == (1, 2)
+
+    def test_split_pair_of_a_class_listed_without_its_least_member(self):
+        els = table(3, Family.DP).elements
+        oracle = ((0,), (1, 2), (3,))
+        witness = checks._first_split_pair(els, ((0,), (2,), (1,), (3,)), oracle)
+        assert [e["index"] for e in witness["elements"]] == [1, 2]
+        assert witness["joined_by"] == "oracle"
+        # the same members in another order split no pair
+        assert checks._first_split_pair(els, ((0,), (2, 1), (3,)), oracle) is None
 
     def test_oracle_h_sizes_dp5(self):
         classes = greens_classes_oracle(table(5, Family.DP))["H"]

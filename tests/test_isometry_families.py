@@ -110,6 +110,19 @@ class TestFastEnumeration:
                 assert held.setdefault(pair, pair) is pair
         assert len(held) == 36
 
+    def test_pair_tuples_are_made_only_for_the_points_met(self):
+        # the two maps on the whole 1000-chain hold 2000 pairs; a table of
+        # all (n + 1)^2 pairs would take about 100 MB
+        list(enumerate_fast(1000, Family.DP, height=1000, cap=1000))
+        tracemalloc.start()
+        try:
+            maps = list(enumerate_fast(1000, Family.DP, height=1000, cap=1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [a.pairs[0] for a in maps] == [(1, 1), (1, 1000)]
+        assert peak < 1_000_000, peak
+
     def test_elements_take_under_0_7_of_validated_rebuilds(self):
         # a rebuild through the constructor holds its own 2-tuples; a ratio
         # of two measurements, so it does not depend on the interpreter's
