@@ -256,17 +256,7 @@ def from_json(obj: dict) -> PartialInjection:
     return PartialInjection(obj["n"], obj["map"])
 
 
-# _POINT_TEXT[i] is str(i), for the points of every chain of up to 64
-# points; a longer chain gets a table of only the points its map uses
-_POINT_TEXT = tuple(map(str, range(65)))
-
-
 def to_text(a: PartialInjection) -> str:
-    pairs = a.pairs
-    if a.n < len(_POINT_TEXT):
-        text = _POINT_TEXT
-    else:
-        text = {p: str(p) for pair in pairs for p in pair}
-    xs = " ".join([text[x] for x, _ in pairs])
-    ys = " ".join([text[y] for _, y in pairs])
+    xs = " ".join([str(x) for x, _ in a.pairs])
+    ys = " ".join([str(y) for _, y in a.pairs])
     return f"({xs} / {ys})"

@@ -1,13 +1,14 @@
 """Named verification checks, one per claim about the two families.
 
-Each check is a generator ``check(lo, hi)`` over the chain sizes lo..hi
-that yields one ``(params, ok, witness)`` triple per instance.  ``witness``
-is ``None`` or a JSON-ready certificate; some checks attach one to passing
-instances too, where the expected outcome is itself a violation (dp is not
-0-E-unitary, odp is not categorical).  Adding a check means writing one
-generator and listing it in :data:`CHECKS`, and in :data:`SMALLEST_N` when
-its first instance lies above n = 0; :func:`run_check` starts the range
-there.
+Each entry of :data:`CHECKS` is a :class:`Check` record: ``run(n)`` is a
+generator over the instances at chain size n that yields one ``(params,
+ok, witness)`` triple per instance, and ``smallest_n`` is the least n with
+an instance.  ``witness`` is ``None`` or a JSON-ready certificate; some
+checks attach one to passing instances too, where the expected outcome is
+itself a violation (dp is not 0-E-unitary, odp is not categorical).
+Adding a check means writing one ``run(n)`` and listing its record in
+:data:`CHECKS`; :func:`run_check` walks the chain sizes, starting at
+``smallest_n``.
 
 Layer functions are looked up by module-global name when a check runs, so
 a tool that wraps them by patching module attributes sees every call; the
@@ -17,6 +18,7 @@ one exception is the closed forms, which are read from the
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import zip_longest
 
 from .chain_maps import compose, inverse, is_order_preserving, is_order_reversing, to_json
@@ -53,13 +55,12 @@ from .isometry_families import (
 FAMILIES = (Family.DP, Family.ODP)
 
 
-def _first_failures(families, lo, hi, ok):
+def _first_failures(families, n, ok):
     """Scan each family element by element for the first one failing ``ok``."""
-    for n in range(lo, hi + 1):
-        for fam in families:
-            bad = next((a for a in enumerate_fast(n, fam) if not ok(a)), None)
-            witness = None if bad is None else {"element": to_json(bad)}
-            yield {"n": n, "family": fam.value}, bad is None, witness
+    for fam in families:
+        bad = next((a for a in enumerate_fast(n, fam) if not ok(a)), None)
+        witness = None if bad is None else {"element": to_json(bad)}
+        yield {"n": n, "family": fam.value}, bad is None, witness
 
 
 class _ProductOutside(Exception):
@@ -102,28 +103,25 @@ def _first_product_outside(elements, fam):
     return None
 
 
-def closure(lo, hi):
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            bad = _first_product_outside(list(enumerate_fast(n, fam)), fam)
-            witness = (
-                None if bad is None else {"a": to_json(bad[0]), "b": to_json(bad[1])}
-            )
-            yield {"n": n, "family": fam.value}, bad is None, witness
+def closure(n):
+    for fam in FAMILIES:
+        bad = _first_product_outside(list(enumerate_fast(n, fam)), fam)
+        witness = None if bad is None else {"a": to_json(bad[0]), "b": to_json(bad[1])}
+        yield {"n": n, "family": fam.value}, bad is None, witness
 
 
-def fix_trichotomy(lo, hi):
+def fix_trichotomy(n):
     def ok(a):
         return sum(1 for x, y in a.pairs if x == y) in (0, 1, a.height)
 
-    return _first_failures((Family.DP,), lo, hi, ok)
+    return _first_failures((Family.DP,), n, ok)
 
 
-def dichotomy(lo, hi):
+def dichotomy(n):
     def ok(a):
         return is_order_preserving(a) or is_order_reversing(a)
 
-    return _first_failures((Family.DP,), lo, hi, ok)
+    return _first_failures((Family.DP,), n, ok)
 
 
 def _first_difference(fast, oracle):
@@ -139,58 +137,53 @@ def _first_difference(fast, oracle):
     return None
 
 
-def oracle_equivalence(lo, hi):
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            witness = _first_difference(
-                list(enumerate_fast(n, fam)), list(enumerate_oracle(n, fam))
-            )
-            yield {"n": n, "family": fam.value}, witness is None, witness
+def oracle_equivalence(n):
+    for fam in FAMILIES:
+        witness = _first_difference(
+            list(enumerate_fast(n, fam)), list(enumerate_oracle(n, fam))
+        )
+        yield {"n": n, "family": fam.value}, witness is None, witness
 
 
-def formulas(lo, hi):
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            for stat, closed in CLOSED_FORMS.items():
-                empirical = count_by(stat, n, fam)
-                formula = [closed(fam, n, k) for k in range(n + 1)]
-                ok = empirical == formula
-                witness = None if ok else {"empirical": empirical, "formula": formula}
-                yield {"n": n, "family": fam.value, "statistic": stat}, ok, witness
+def formulas(n):
+    for fam in FAMILIES:
+        for stat, closed in CLOSED_FORMS.items():
+            empirical = count_by(stat, n, fam)
+            formula = [closed(fam, n, k) for k in range(n + 1)]
+            ok = empirical == formula
+            witness = None if ok else {"empirical": empirical, "formula": formula}
+            yield {"n": n, "family": fam.value, "statistic": stat}, ok, witness
 
 
-def recurrence(lo, hi):
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            bad = next(
-                (p for p in range(3, n + 1) if not recurrence_check(n, p, fam)), None
-            )
-            witness = None
-            if bad is not None:
-                whole, left, right = _recurrence_terms(n, bad, fam)
-                witness = {
-                    "n": n, "p": bad,
-                    "F(n;p)": whole, "F(n-1;p-1)": left, "F(n-1;p)": right,
-                }
-            yield {"n": n, "family": fam.value}, bad is None, witness
-
-
-def sum_identity(lo, hi):
-    for n in range(lo, hi + 1):
-        ok = verify_sum_identity(n)
+def recurrence(n):
+    for fam in FAMILIES:
+        bad = next(
+            (p for p in range(3, n + 1) if not recurrence_check(n, p, fam)), None
+        )
         witness = None
-        if not ok:
-            lhs, rhs = _sum_identity_sides(n)
-            witness = {"n": n, "lhs": lhs, "rhs": rhs}
-        yield {"n": n}, ok, witness
+        if bad is not None:
+            whole, left, right = _recurrence_terms(n, bad, fam)
+            witness = {
+                "n": n, "p": bad,
+                "F(n;p)": whole, "F(n-1;p-1)": left, "F(n-1;p)": right,
+            }
+        yield {"n": n, "family": fam.value}, bad is None, witness
 
 
-def phi_bijection(lo, hi):
-    for n in range(lo, hi + 1):
-        for p in range(3, n + 1):
-            report = phi_bijection_report(n, p)
-            ok = all(report.values())
-            yield {"n": n, "p": p}, ok, None if ok else report
+def sum_identity(n):
+    ok = verify_sum_identity(n)
+    witness = None
+    if not ok:
+        lhs, rhs = _sum_identity_sides(n)
+        witness = {"n": n, "lhs": lhs, "rhs": rhs}
+    yield {"n": n}, ok, witness
+
+
+def phi_bijection(n):
+    for p in range(3, n + 1):
+        report = phi_bijection_report(n, p)
+        ok = all(report.values())
+        yield {"n": n, "p": p}, ok, None if ok else report
 
 
 def _first_split_pair(elements, criterion, oracle):
@@ -227,53 +220,50 @@ def _first_split_pair(elements, criterion, oracle):
     }
 
 
-def greens(lo, hi):
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            # build_table refuses an over-cap family before enumerating it all
-            table = build_table(enumerate_fast(n, fam))
-            oracle = greens_classes_oracle(table)
-            index = {el.pairs: i for i, el in enumerate(table.elements)}
-            for rel in RELATIONS:
-                count, classes = greens_classes_criterion(n, fam, rel)
-                # each member's table index, the blocks kept in the order given
-                criterion = tuple(
-                    tuple(index[tuple(zip(dom, img))] for dom, img in block)
-                    for block in classes
-                )
-                same = count == len(oracle[rel]) and criterion == oracle[rel]
-                witness = (
-                    None if same
-                    else _first_split_pair(table.elements, criterion, oracle[rel])
-                )
-                yield {"n": n, "family": fam.value, "relation": rel}, same, witness
+def greens(n):
+    for fam in FAMILIES:
+        # build_table refuses an over-cap family before enumerating it all
+        table = build_table(enumerate_fast(n, fam))
+        oracle = greens_classes_oracle(table)
+        index = {el.pairs: i for i, el in enumerate(table.elements)}
+        for rel in RELATIONS:
+            count, classes = greens_classes_criterion(n, fam, rel)
+            # each member's table index, the blocks kept in the order given
+            criterion = tuple(
+                tuple(index[tuple(zip(dom, img))] for dom, img in block)
+                for block in classes
+            )
+            same = count == len(oracle[rel]) and criterion == oracle[rel]
+            witness = (
+                None if same
+                else _first_split_pair(table.elements, criterion, oracle[rel])
+            )
+            yield {"n": n, "family": fam.value, "relation": rel}, same, witness
 
 
-def eunitary(lo, hi):
-    for n in range(lo, hi + 1):
-        for fam in FAMILIES:
-            table = build_table(enumerate_fast(n, fam))
-            holds, witness = is_zero_e_unitary(table)
-            if fam is Family.ODP or n <= 2:
-                # violations need a reflection about an interior point
-                ok = holds
-            else:
-                ok = not holds and replay_witness(table, witness)
-            yield {"n": n, "family": fam.value}, ok, witness_to_json(table, witness)
+def eunitary(n):
+    for fam in FAMILIES:
+        table = build_table(enumerate_fast(n, fam))
+        holds, witness = is_zero_e_unitary(table)
+        if fam is Family.ODP or n <= 2:
+            # violations need a reflection about an interior point
+            ok = holds
+        else:
+            ok = not holds and replay_witness(table, witness)
+        yield {"n": n, "family": fam.value}, ok, witness_to_json(table, witness)
 
 
-def categorical(lo, hi):
-    for n in range(lo, hi + 1):
-        table = build_table(enumerate_fast(n, Family.ODP))
+def categorical(n):
+    table = build_table(enumerate_fast(n, Family.ODP))
+    holds, witness = is_categorical(table)
+    # categorical only while no three-factor product can vanish: n <= 1
+    ok = holds if n <= 1 else (not holds and replay_witness(table, witness))
+    yield {"n": n, "semigroup": "odp"}, ok, witness_to_json(table, witness)
+    for p in range(1, n + 1):
+        table = build_rees_quotient(n, p)
         holds, witness = is_categorical(table)
-        # categorical only while no three-factor product can vanish: n <= 1
-        ok = holds if n <= 1 else (not holds and replay_witness(table, witness))
-        yield {"n": n, "semigroup": "odp"}, ok, witness_to_json(table, witness)
-        for p in range(1, n + 1):
-            table = build_rees_quotient(n, p)
-            holds, witness = is_categorical(table)
-            params = {"n": n, "semigroup": "rees", "p": p}
-            yield params, holds, witness_to_json(table, witness)
+        params = {"n": n, "semigroup": "rees", "p": p}
+        yield params, holds, witness_to_json(table, witness)
 
 
 def _rees_failure(table):
@@ -294,67 +284,74 @@ def _rees_failure(table):
     return None
 
 
-def rees(lo, hi):
-    for n in range(lo, hi + 1):
-        for p in range(1, n + 1):
-            witness = _rees_failure(build_rees_quotient(n, p))
-            yield {"n": n, "p": p}, witness is None, witness
+def rees(n):
+    for p in range(1, n + 1):
+        witness = _rees_failure(build_rees_quotient(n, p))
+        yield {"n": n, "p": p}, witness is None, witness
 
 
-def inverse_laws(lo, hi):
+def inverse_laws(n):
     def ok(a):
         b = inverse(a)
         return compose(compose(a, b), a) == a and compose(compose(b, a), b) == b
 
-    return _first_failures(FAMILIES, lo, hi, ok)
+    return _first_failures(FAMILIES, n, ok)
 
+
+# smallest_n: the recurrences and phi need p >= 3, the sum identity n >= 2,
+# and a Rees quotient a height 1 <= p <= n
+Check = namedtuple("Check", "run smallest_n")
 
 CHECKS = {
-    "closure": closure,
-    "fix-trichotomy": fix_trichotomy,
-    "dichotomy": dichotomy,
-    "oracle-equivalence": oracle_equivalence,
-    "formulas": formulas,
-    "recurrence": recurrence,
-    "sum-identity": sum_identity,
-    "phi-bijection": phi_bijection,
-    "greens": greens,
-    "eunitary": eunitary,
-    "categorical": categorical,
-    "rees": rees,
-    "inverse-laws": inverse_laws,
+    "closure": Check(closure, 0),
+    "fix-trichotomy": Check(fix_trichotomy, 0),
+    "dichotomy": Check(dichotomy, 0),
+    "oracle-equivalence": Check(oracle_equivalence, 0),
+    "formulas": Check(formulas, 0),
+    "recurrence": Check(recurrence, 3),
+    "sum-identity": Check(sum_identity, 2),
+    "phi-bijection": Check(phi_bijection, 3),
+    "greens": Check(greens, 0),
+    "eunitary": Check(eunitary, 0),
+    "categorical": Check(categorical, 0),
+    "rees": Check(rees, 1),
+    "inverse-laws": Check(inverse_laws, 0),
 }
-
-
-# Smallest chain size with an instance, for the checks that start above 0:
-# the recurrences and phi need p >= 3, the sum identity n >= 2, and a Rees
-# quotient a height 1 <= p <= n.
-SMALLEST_N = {"recurrence": 3, "sum-identity": 2, "phi-bijection": 3, "rees": 1}
 
 
 def run_check(name: str, lo: int, hi: int) -> list[dict]:
     """Run one named check over lo..hi; one ``{"params", "pass"}`` dict per
     instance, plus ``"witness"`` when the check supplied one.
 
-    Sizes below the check's smallest are skipped; a range with no instance
-    left raises :class:`ChainIsomError`, since a check that ran on nothing
-    verified nothing.  An unknown name, or a bound that is not an ``int``,
-    raises :class:`DomainError`.
+    Sizes below the check's ``smallest_n`` are skipped; a range with no
+    instance left raises :class:`ChainIsomError`, since a check that ran on
+    nothing verified nothing.  An unknown name, or a bound that is not an
+    ``int``, raises :class:`DomainError`.
+
+    >>> CHECKS["sum-identity"].smallest_n
+    2
+    >>> run_check("sum-identity", 0, 3)
+    [{'params': {'n': 2}, 'pass': True}, {'params': {'n': 3}, 'pass': True}]
+    >>> run_check("sum-identity", 0, 1)
+    Traceback (most recent call last):
+    ...
+    chainisom.errors.ChainIsomError: check 'sum-identity' has no instance in 0..1; it needs n >= 2
     """
     if name not in CHECKS:
         raise DomainError(f"unknown check {name!r}")
     if type(lo) is not int or type(hi) is not int:
         raise DomainError(f"check bounds must be ints, got {lo!r}..{hi!r}")
-    smallest = SMALLEST_N.get(name, 0)
+    run, smallest = CHECKS[name]
     start = max(lo, smallest)
     if start > hi:
         raise ChainIsomError(
             f"check {name!r} has no instance in {lo}..{hi}; it needs n >= {smallest}"
         )
     instances = []
-    for params, ok, witness in CHECKS[name](start, hi):
-        inst = {"params": params, "pass": ok}
-        if witness is not None:
-            inst["witness"] = witness
-        instances.append(inst)
+    for n in range(start, hi + 1):
+        for params, ok, witness in run(n):
+            inst = {"params": params, "pass": ok}
+            if witness is not None:
+                inst["witness"] = witness
+            instances.append(inst)
     return instances

@@ -179,10 +179,6 @@ def cmd_enumerate(args) -> int:
 def cmd_table(args) -> int:
     fam = Family(args.family)
     if args.empirical:
-        if args.max_n > args.cap:
-            raise ChainIsomError(
-                f"--empirical tables are capped at n={args.cap}, got {args.max_n}"
-            )
         tbl = empirical_count_table(args.by, fam, args.max_n, cap=args.cap)
     else:
         if args.max_n > FORMULA_TABLE_CAP:

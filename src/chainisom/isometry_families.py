@@ -313,7 +313,9 @@ def empirical_count_table(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> CountTable:
     """Count table obtained by counting the maps with :func:`count_by` (no
-    closed forms involved)."""
-    _check_chain_size(max_n)
+    closed forms involved).  The arguments are checked, and ``cap`` bounds
+    ``max_n``, before any row is counted."""
+    _statistic(statistic)
+    _check_request(max_n, family, None, cap)
     rows = tuple(tuple(count_by(statistic, n, family, cap)) for n in range(max_n + 1))
     return CountTable(statistic, family, rows, tuple(sum(r) for r in rows))

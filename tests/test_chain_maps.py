@@ -381,9 +381,8 @@ class TestSerialization:
         assert to_text(PartialInjection(2)) == "( / )"
 
     def test_text_form_of_long_chains(self):
-        # the table of point strings covers chains up to 64 points; past
-        # that the text is made from the map's own points, with no table of
-        # the chain
+        # the text is made from the map's own points, so a map on a long
+        # chain renders as one on a short chain does
         for n in (63, 64, 65, 10**9):
             a = PartialInjection(n, [(1, n), (n, 7)])
             assert to_text(a) == f"(1 {n} / {n} 7)"

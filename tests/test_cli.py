@@ -224,16 +224,26 @@ class TestVerify:
         assert run(capsys, "verify", "--check", "formulas",
                    "--n-range", "3..4..9")[0] == 2
         # ranges below the check's first instance verify nothing
-        for check, n_range, smallest in (
-            ("recurrence", "0..2", 3),
-            ("phi-bijection", "0..2", 3),
-            ("sum-identity", "0..1", 2),
-            ("rees", "0..0", 1),
-        ):
+        late = {
+            name: c.smallest_n for name, c in checks.CHECKS.items() if c.smallest_n
+        }
+        assert late == {
+            "recurrence": 3, "phi-bijection": 3, "sum-identity": 2, "rees": 1
+        }
+        for check, smallest in late.items():
+            n_range = f"0..{smallest - 1}"
             assert main(["verify", "--check", check, "--n-range", n_range]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert f"needs n >= {smallest}" in captured.err
+
+    def test_smallest_n_has_an_instance(self):
+        # each record's smallest_n is a size the check runs on, and passes
+        for name, check in checks.CHECKS.items():
+            n = check.smallest_n
+            instances = checks.run_check(name, n, n)
+            assert instances, name
+            assert all(inst["pass"] for inst in instances), name
 
     def test_run_check_rejects_what_the_cli_cannot_send(self):
         # the CLI's range parser refuses these first; run_check must refuse
@@ -254,10 +264,10 @@ class TestVerify:
     def test_violation_exits_1(self, capsys):
         # exit code 1 is reserved for genuine property violations; none of
         # the shipped checks fail, so splice in one that does
-        def always_fails(lo, hi):
-            yield {"n": lo}, False, {"note": "forced"}
+        def always_fails(n):
+            yield {"n": n}, False, {"note": "forced"}
 
-        checks.CHECKS["always-fails"] = always_fails
+        checks.CHECKS["always-fails"] = checks.Check(always_fails, 0)
         try:
             code, out = run(capsys, "verify", "--check", "always-fails",
                             "--n-range", "1..1")

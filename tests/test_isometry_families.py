@@ -352,6 +352,17 @@ class TestCountWalk:
                 with pytest.raises(DomainError, match="cap"):
                     call()
 
+    def test_empirical_table_refuses_over_cap_before_counting(self, monkeypatch):
+        # an over-cap table is refused up front, naming the n asked for,
+        # not after counting every row up to the cap
+        def count_by(*args, **kwargs):
+            raise AssertionError("counted a row of a refused table")
+
+        monkeypatch.setattr(isometry_families, "count_by", count_by)
+        for max_n, cap in ((21, 20), (25, 20), (5, 4)):
+            with pytest.raises(LimitExceeded, match=f"n={max_n} "):
+                empirical_count_table("fix", Family.DP, max_n, cap=cap)
+
 
 class TestCountTable:
     def test_empirical_table_matches_row_counters(self):
