@@ -24,10 +24,7 @@ the validation because their values are canonical by construction:
 its result inline, and ``isometry_families.enumerate_fast`` (a translation
 or reflection restricted to an increasing domain), which builds through
 ``_trusted``.  Everything else, :func:`from_json` included, builds through
-the validating constructor.  The values ``enumerate_fast`` builds share
-their ``(x, y)`` tuples: one tuple per point pair that a call meets,
-held by every value of that call with that pair.  Tuples are immutable,
-so sharing them changes no value.
+the validating constructor.
 """
 
 from __future__ import annotations
@@ -145,10 +142,8 @@ def _trusted(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
     # enumerate_fast: the domain comes from combinations(range(1, n + 1), h),
     # so it is strictly increasing; a translation x + t with t in
     # 1 - lo..n - hi and a reflection c - x with c in hi + 1..n + lo keep
-    # every image in 1..n, and both maps are injective.  pairs may hold
-    # (x, y) tuples shared with other values: enumerate_fast takes each
-    # from one table per call.  compose builds its result the same way,
-    # inline.
+    # every image in 1..n, and both maps are injective.  compose builds
+    # its result the same way, inline.
     value = object.__new__(PartialInjection)
     object.__setattr__(value, "n", n)
     object.__setattr__(value, "pairs", pairs)

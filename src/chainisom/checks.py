@@ -337,7 +337,8 @@ def run_check(name: str, lo: int, hi: int) -> list[dict]:
     ...
     chainisom.errors.ChainIsomError: check 'sum-identity' has no instance in 0..1; it needs n >= 2
     """
-    if name not in CHECKS:
+    # the type first: an unhashable name would fail the lookup itself
+    if not isinstance(name, str) or name not in CHECKS:
         raise DomainError(f"unknown check {name!r}")
     if type(lo) is not int or type(hi) is not int:
         raise DomainError(f"check bounds must be ints, got {lo!r}..{hi!r}")

@@ -32,7 +32,6 @@ from .isometry_families import (
     DEFAULT_ENUMERATION_CAP,
     STATISTICS,
     Family,
-    _Cells,
     empirical_count_table,
     enumerate_fast,
     enumerate_images,
@@ -47,6 +46,22 @@ EXIT_USAGE = 2
 
 # ---------------------------------------------------------------------------
 # Rendering
+
+class _Cells(dict):
+    """A dict that makes a missing entry on first use, as ``make(key)``,
+    and keeps it, so a table over the points of a long chain holds only the
+    entries a request meets."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
 
 def _dumps(obj, **options) -> str:
     # imported on first use, not at the top: text output never needs json,
@@ -77,13 +92,6 @@ def _render_report_text(check: str, instances: list[dict], passed: bool) -> str:
 
 def _render_count_table(tbl, fmt: str) -> str:
     max_n = len(tbl.rows) - 1
-    if fmt == "csv":
-        header = "n," + ",".join(f"k{k}" for k in range(max_n + 1)) + ",sum"
-        lines = [header]
-        for n, row in enumerate(tbl.rows):
-            cells = [str(v) for v in row] + [""] * (max_n - n)
-            lines.append(f"{n}," + ",".join(cells) + f",{tbl.row_sums[n]}")
-        return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
             "family": tbl.family.value,
@@ -95,14 +103,14 @@ def _render_count_table(tbl, fmt: str) -> str:
             ],
         }
         return _dumps(payload, indent=2) + "\n"
-    grid = [["n\\k"] + [str(k) for k in range(max_n + 1)] + ["sum"]]
-    for n, row in enumerate(tbl.rows):
-        grid.append(
-            [str(n)]
-            + [str(v) for v in row]
-            + [""] * (max_n - n)
-            + [str(tbl.row_sums[n])]
-        )
+    body = [
+        [str(n), *map(str, row), *[""] * (max_n - n), str(tbl.row_sums[n])]
+        for n, row in enumerate(tbl.rows)
+    ]
+    if fmt == "csv":
+        header = ["n", *(f"k{k}" for k in range(max_n + 1)), "sum"]
+        return "".join(",".join(r) + "\n" for r in [header, *body])
+    grid = [["n\\k", *map(str, range(max_n + 1)), "sum"], *body]
     widths = [max(len(r[c]) for r in grid) for c in range(len(grid[0]))]
     return (
         "\n".join(
@@ -168,7 +176,7 @@ def cmd_enumerate(args) -> int:
             maps = [",".join(map(getitem, rows, img)) for img in images]
             write(head + between.join(maps) + tail)
     else:
-        text_of = [str(i) for i in range(n + 1)].__getitem__
+        text_of = _Cells(str).__getitem__
         for dom, images in walk:
             head = "(" + " ".join(map(text_of, dom)) + " / "
             maps = [" ".join(map(text_of, img)) for img in images]
@@ -236,7 +244,7 @@ def cmd_greens(args) -> int:
         write("\n  ]\n}\n")
         return EXIT_OK
     # each map as to_text writes it
-    text_of = [str(i) for i in range(n + 1)].__getitem__
+    text_of = _Cells(str).__getitem__
     write(f"{relation}-classes of {fam.value} on the {n}-chain: {count}\n")
     for k, block in enumerate(classes):
         maps = " ".join([

@@ -19,10 +19,7 @@ element sources are provided:
   rule.  :func:`enumerate_fast` builds one value per image.  Each element
   is canonical by construction, so it is built without re-running the
   :class:`PartialInjection` validation; besides ``chain_maps.compose``
-  this is the only unvalidated construction site.  The elements of one
-  call share their ``(x, y)`` tuples, one per point pair met, made on
-  first use, so an element holds one tuple of references and no pairs of
-  its own: about half the memory of a validated rebuild.
+  this is the only unvalidated construction site.
 * :func:`enumerate_oracle` generates every partial injection of the chain
   through the validating constructor and filters by membership.  It is
   deliberately naive; the ``oracle-equivalence`` check and the test suite
@@ -50,7 +47,6 @@ from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from itertools import combinations, permutations
-from operator import getitem
 
 from .chain_maps import PartialInjection, _trusted, is_isometry, is_order_preserving
 from .errors import DomainError, LimitExceeded
@@ -169,29 +165,10 @@ def _images(n, family, dom):
     return images
 
 
-class _Cells(dict):
-    """A dict that makes a missing entry on first use, as ``make(key)``,
-    and keeps it, so a table over the point pairs of a long chain holds
-    only the entries a walk meets."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _generate(n, family, height):
-    # pair[x][y] is the (x, y) tuple every element of this call holds
-    pair = _Cells(lambda x: _Cells(lambda y: (x, y)))
     for dom, images in _walk(n, family, height):
-        rows = [pair[x] for x in dom]
         for img in images:
-            yield _trusted(n, tuple(map(getitem, rows, img)))
+            yield _trusted(n, tuple(zip(dom, img)))
 
 
 def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:
@@ -286,12 +263,20 @@ class CountTable(namedtuple("CountTable", "statistic family rows row_sums")):
 
     def __new__(cls, statistic: str, family: Family, rows, row_sums):
         _statistic(statistic)
+        if not isinstance(family, Family):
+            raise DomainError(f"family must be a Family, got {family!r}")
         if not rows:
             raise DomainError("a count table needs at least the row n = 0")
         if len(rows) != len(row_sums):
             raise DomainError("rows and row_sums must align")
         for n, row in enumerate(rows):
-            if len(row) != n + 1 or any(v < 0 for v in row):
+            # exact type: a float or bool count would render as a number
+            # the table does not hold
+            if (
+                len(row) != n + 1
+                or any(type(v) is not int or v < 0 for v in row)
+                or type(row_sums[n]) is not int
+            ):
                 raise DomainError(f"row {n} is malformed")
             if sum(row) != row_sums[n]:
                 raise DomainError(f"row {n} does not sum to its declared order")

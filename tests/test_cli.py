@@ -93,8 +93,8 @@ class TestEnumerate:
     def test_jsonl_cells_are_made_only_for_the_points_met(self):
         # at heights 0, n - 1 and n the walk meets at most 4n of the
         # (n + 1)^2 cells; a table of them all took about 11 MB at n = 400
-        def peak(*flags):
-            argv = ["enumerate", "--n", "400", "--family", "dp", "--cap", "400", *flags]
+        def peak(*flags, n="400"):
+            argv = ["enumerate", "--n", n, "--family", "dp", "--cap", n, *flags]
             with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
                 tracemalloc.start()
                 try:
@@ -107,6 +107,11 @@ class TestEnumerate:
             text = peak("--height", height)
             jsonl = peak("--height", height, "--format", "jsonl")
             assert jsonl <= text + 2_000_000, (height, text, jsonl)
+        # the one line of height 0 on a long chain needs no per-point table
+        # in either format
+        for fmt in ("text", "jsonl"):
+            used = peak("--height", "0", "--format", fmt, n=str(10**6))
+            assert used < 1_000_000, (fmt, used)
 
     def test_cap_violation_exits_2(self, capsys):
         # a refused request writes nothing: it is checked before the first line
@@ -252,6 +257,7 @@ class TestVerify:
             ("closure", 3, 1, ChainIsomError),
             ("rees", 5, 3, ChainIsomError),
             ("nope", 0, 1, DomainError),
+            (["closure"], 0, 1, DomainError),
             ("sum-identity", 2.5, 3, DomainError),
         ):
             with pytest.raises(error):

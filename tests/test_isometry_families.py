@@ -101,18 +101,10 @@ class TestFastEnumeration:
                         b = PartialInjection(a.n, a.pairs)
                         assert a == b and hash(a) == hash(b)
 
-    def test_elements_share_their_pair_tuples(self):
-        # one (x, y) tuple per point pair, held by every element with that
-        # pair; the height-1 maps alone hold all 36 pairs of the 6-chain
-        held = {}
-        for a in enumerate_fast(6, Family.DP):
-            for pair in a.pairs:
-                assert held.setdefault(pair, pair) is pair
-        assert len(held) == 36
-
     def test_pair_tuples_are_made_only_for_the_points_met(self):
-        # the two maps on the whole 1000-chain hold 2000 pairs; a table of
-        # all (n + 1)^2 pairs would take about 100 MB
+        # the two maps on the whole 1000-chain hold 2000 pairs; the walk
+        # must make no structure over all (n + 1)^2 point pairs, which would
+        # take about 100 MB
         list(enumerate_fast(1000, Family.DP, height=1000, cap=1000))
         tracemalloc.start()
         try:
@@ -122,25 +114,6 @@ class TestFastEnumeration:
             tracemalloc.stop()
         assert [a.pairs[0] for a in maps] == [(1, 1), (1, 1000)]
         assert peak < 1_000_000, peak
-
-    def test_elements_take_under_0_7_of_validated_rebuilds(self):
-        # a rebuild through the constructor holds its own 2-tuples; a ratio
-        # of two measurements, so it does not depend on the interpreter's
-        # object sizes
-        def traced_bytes(build):
-            tracemalloc.start()
-            try:
-                values = build()
-                return tracemalloc.get_traced_memory()[0], values
-            finally:
-                tracemalloc.stop()
-
-        # a tuple freed while tracing can stay on the interpreter's free
-        # list and count as live; one untraced pass fills those lists first
-        list(enumerate_fast(10, Family.DP))
-        fast, values = traced_bytes(lambda: list(enumerate_fast(10, Family.DP)))
-        rebuilt, _ = traced_bytes(lambda: [PartialInjection(a.n, a.pairs) for a in values])
-        assert fast <= 0.7 * rebuilt, (fast, rebuilt)
 
     def test_equals_the_walk_rebuilt_pair_by_pair(self):
         # enumerate_images hands out the walk enumerate_fast builds from;
@@ -387,3 +360,12 @@ class TestCountTable:
             count_by("weight", 3, Family.DP)
         with pytest.raises(DomainError):
             CountTable(["height"], Family.DP, ((1,),), (1,))
+        # the family must be a Family, and every count and sum an int
+        with pytest.raises(DomainError):
+            CountTable("height", "dp", ((1,),), (1,))
+        with pytest.raises(DomainError):
+            CountTable("height", Family.DP, ((1.5,),), (1.5,))
+        with pytest.raises(DomainError):
+            CountTable("height", Family.DP, ((1,), (1, 1.0)), (1, 2.0))
+        with pytest.raises(DomainError):
+            CountTable("height", Family.DP, ((True,),), (1,))
