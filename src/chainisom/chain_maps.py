@@ -18,13 +18,14 @@ equality, hash, repr or serialized form.  It is never mutated once stored,
 and two threads racing to store it store equal dicts, so values are still
 safe to share across threads.
 
-Every value is validated when it is built, with two exceptions that skip
-the validation because their values are canonical by construction:
+Every value is validated when it is built, with three exceptions that
+skip the validation because their values are canonical by construction:
 ``compose`` (the composite of two valid maps on one chain), which builds
-its result inline, and ``isometry_families.enumerate_fast`` (a translation
-or reflection restricted to an increasing domain), which builds through
-``_trusted``.  Everything else, :func:`from_json` included, builds through
-the validating constructor.
+its result inline, ``isometry_families.enumerate_fast`` (a translation or
+reflection restricted to an increasing domain) and :func:`inverse` (the
+transpose of a valid map, sorted), which build through ``_trusted``.
+Everything else, :func:`from_json` included, builds through the validating
+constructor.
 """
 
 from __future__ import annotations
@@ -138,12 +139,16 @@ def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:
 def _trusted(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
     # Builds the value as PartialInjection.__init__ would, without its
     # validation.  Sound only where n is an int >= 0 and pairs is already
-    # a canonical partial injection of the n-chain.  Its caller is
-    # enumerate_fast: the domain comes from combinations(range(1, n + 1), h),
-    # so it is strictly increasing; a translation x + t with t in
-    # 1 - lo..n - hi and a reflection c - x with c in hi + 1..n + lo keep
-    # every image in 1..n, and both maps are injective.  compose builds
-    # its result the same way, inline.
+    # a canonical partial injection of the n-chain.  Its callers are
+    # enumerate_fast and inverse.  In enumerate_fast the domain comes from
+    # combinations(range(1, n + 1), h), so it is strictly increasing; a
+    # translation x + t with t in 1 - lo..n - hi and a reflection c - x
+    # with c in hi + 1..n + lo keep every image in 1..n, and both maps are
+    # injective.  inverse sorts the transpose of a validated map, whose
+    # images are distinct points of 1..n.  compose builds its result the
+    # same way, inline.  The fields go through object.__setattr__, not
+    # value.__dict__: on CPython 3.11, reading __dict__ moves the value's
+    # fields into a dict object, and every later read of a field is slower.
     value = object.__new__(PartialInjection)
     object.__setattr__(value, "n", n)
     object.__setattr__(value, "pairs", pairs)
@@ -184,10 +189,14 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
 def inverse(a: PartialInjection) -> PartialInjection:
     """Transpose of ``a``; satisfies a * inverse(a) * a == a.
 
+    Built without re-validation: ``a`` was validated when it was built, so
+    its images are distinct points of 1..n, and the sorted transpose is a
+    canonical partial injection of the same chain.
+
     >>> inverse(PartialInjection(3, [(1, 2), (2, 3)])).pairs
     ((2, 1), (3, 2))
     """
-    return PartialInjection(a.n, tuple((y, x) for x, y in a.pairs))
+    return _trusted(a.n, tuple(sorted([(y, x) for x, y in a.pairs])))
 
 
 def is_isometry(a: PartialInjection) -> bool:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import zip_longest
+from operator import eq, gt, lt
 
-from .chain_maps import compose, inverse, is_order_preserving, is_order_reversing, to_json
+from .chain_maps import compose, inverse, to_json
 from .closed_forms import (
     CLOSED_FORMS,
     _recurrence_terms,
@@ -48,6 +49,7 @@ from .isometry_families import (
     Family,
     count_by,
     enumerate_fast,
+    enumerate_images,
     enumerate_oracle,
     is_member,
 )
@@ -55,12 +57,31 @@ from .isometry_families import (
 FAMILIES = (Family.DP, Family.ODP)
 
 
-def _first_failures(families, n, ok):
+def _first_failures(n, ok):
     """Scan each family element by element for the first one failing ``ok``."""
-    for fam in families:
+    for fam in FAMILIES:
         bad = next((a for a in enumerate_fast(n, fam) if not ok(a)), None)
         witness = None if bad is None else {"element": to_json(bad)}
         yield {"n": n, "family": fam.value}, bad is None, witness
+
+
+def _first_failing_dp_map(n, ok):
+    """Scan dp on the n-chain for the first map failing ``ok(domain,
+    image)``, reading ``(domain, image)`` off the enumeration walk: no value
+    is built, and the witness holds that map as :func:`to_json` writes it."""
+    bad = next(
+        (
+            (dom, img)
+            for dom, images in enumerate_images(n, Family.DP)
+            for img in images
+            if not ok(dom, img)
+        ),
+        None,
+    )
+    witness = None if bad is None else {
+        "element": {"n": n, "map": [[x, y] for x, y in zip(*bad)]}
+    }
+    yield {"n": n, "family": Family.DP.value}, bad is None, witness
 
 
 class _ProductOutside(Exception):
@@ -110,18 +131,22 @@ def closure(n):
         yield {"n": n, "family": fam.value}, bad is None, witness
 
 
-def fix_trichotomy(n):
-    def ok(a):
-        return sum(1 for x, y in a.pairs if x == y) in (0, 1, a.height)
+# The walk lists each map's image in domain order, and the domain is
+# increasing, so these test the map's fixed points and monotonicity.
 
-    return _first_failures((Family.DP,), n, ok)
+def fix_trichotomy(n):
+    def ok(dom, img):
+        return sum(map(eq, dom, img)) in (0, 1, len(dom))
+
+    return _first_failing_dp_map(n, ok)
 
 
 def dichotomy(n):
-    def ok(a):
-        return is_order_preserving(a) or is_order_reversing(a)
+    def ok(dom, img):
+        rest = img[1:]
+        return all(map(lt, img, rest)) or all(map(gt, img, rest))
 
-    return _first_failures((Family.DP,), n, ok)
+    return _first_failing_dp_map(n, ok)
 
 
 def _first_difference(fast, oracle):
@@ -295,7 +320,7 @@ def inverse_laws(n):
         b = inverse(a)
         return compose(compose(a, b), a) == a and compose(compose(b, a), b) == b
 
-    return _first_failures(FAMILIES, n, ok)
+    return _first_failures(n, ok)
 
 
 # smallest_n: the recurrences and phi need p >= 3, the sum identity n >= 2,

@@ -247,11 +247,15 @@ def cmd_greens(args) -> int:
     text_of = _Cells(str).__getitem__
     write(f"{relation}-classes of {fam.value} on the {n}-chain: {count}\n")
     for k, block in enumerate(classes):
-        maps = " ".join([
-            "(" + " ".join(map(text_of, dom)) + " / " + " ".join(map(text_of, img)) + ")"
-            for dom, img in block
-        ])
-        write(f"[{k}] size {len(block)}: {maps}\n")
+        maps, last = [], None
+        for dom, img in block:
+            # the members on one domain share its tuple, so a run of them
+            # shares one head
+            if dom is not last:
+                last = dom
+                head = "(" + " ".join(map(text_of, dom)) + " / "
+            maps.append(head + " ".join(map(text_of, img)) + ")")
+        write(f"[{k}] size {len(block)}: {' '.join(maps)}\n")
     return EXIT_OK
 
 
@@ -272,68 +276,97 @@ def cmd_structure(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def _build_parser() -> argparse.ArgumentParser:
+_FAMILIES = [fam.value for fam in Family]
+
+
+def _add_cap(p):
+    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                   help="enumeration size cap override")
+
+
+def _enumerate_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--height", type=int, default=None,
+                   help="restrict to one image size")
+    p.add_argument("--format", choices=["text", "jsonl"], default="text")
+    _add_cap(p)
+
+
+def _table_arguments(p):
+    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--by", choices=list(STATISTICS), required=True)
+    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    p.add_argument("--empirical", action="store_true",
+                   help="count by enumeration instead of closed forms")
+    _add_cap(p)
+
+
+def _verify_arguments(p):
+    p.add_argument("--check", choices=sorted(CHECKS), required=True)
+    p.add_argument("--n-range", required=True, metavar="A..B")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+
+def _greens_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--classes", choices=[rel.lower() for rel in RELATIONS], required=True)
+    p.add_argument("--format", choices=["text", "json"], default="text")
+    _add_cap(p)
+
+
+def _structure_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--family", choices=_FAMILIES, required=True)
+    p.add_argument("--rees-p", type=int, default=None,
+                   help="also summarise the height-p Rees quotient")
+    p.add_argument("--format", choices=["text", "json"], default="text")
+
+
+# Each subcommand: its help line, the function that adds its arguments to
+# its subparser, and its handler, in the order the usage lists them.
+COMMANDS = {
+    "enumerate": ("stream all family elements", _enumerate_arguments, cmd_enumerate),
+    "table": ("triangle of counts by height or fix", _table_arguments, cmd_table),
+    "verify": ("run one verification suite", _verify_arguments, cmd_verify),
+    "greens": ("list Green's classes", _greens_arguments, cmd_greens),
+    "structure": ("structural property summary", _structure_arguments, cmd_structure),
+}
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand, or with the one named
+    ``only``.  A subcommand's own help and errors read the same either way;
+    only the top-level usage line lists just ``only``.  Every argparse
+    argument builds a help formatter, so a request parsed with its own
+    subparser alone skips most of the parser's cost."""
     parser = argparse.ArgumentParser(
         prog="chainisom",
         description="Partial isometries of a finite chain: enumeration, "
         "counting tables, Green's structure, and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    families = [fam.value for fam in Family]
-    relations = [rel.lower() for rel in RELATIONS]
-
-    def add_common(p):
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                       help="enumeration size cap override")
-
-    p = sub.add_parser("enumerate", help="stream all family elements")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--height", type=int, default=None,
-                   help="restrict to one image size")
-    p.add_argument("--format", choices=["text", "jsonl"], default="text")
-    add_common(p)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("table", help="triangle of counts by height or fix")
-    p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--by", choices=list(STATISTICS), required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.add_argument("--empirical", action="store_true",
-                   help="count by enumeration instead of closed forms")
-    add_common(p)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("verify", help="run one verification suite")
-    p.add_argument("--check", choices=sorted(CHECKS), required=True)
-    p.add_argument("--n-range", required=True, metavar="A..B")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("greens", help="list Green's classes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--classes", choices=relations, required=True)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    add_common(p)
-    p.set_defaults(func=cmd_greens)
-
-    p = sub.add_parser("structure", help="structural property summary")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=families, required=True)
-    p.add_argument("--rees-p", type=int, default=None,
-                   help="also summarise the height-p Rees quotient")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_structure)
-
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if only is None or name == only:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # --help, a missing command and an unknown one need every subcommand
+    only = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, extra = _build_parser(only).parse_known_args(argv)
+        if extra:
+            # the error's usage line lists every command: let the whole
+            # parser write it
+            _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

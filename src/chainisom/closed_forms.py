@@ -225,13 +225,16 @@ def phi_bijection_report(n: int, p: int) -> dict[str, bool]:
         raise DomainError(f"need int 2 <= p <= n, got p={p!r}, n={n!r}")
     source = list(enumerate_fast(n - 1, Family.ODP, height=p - 1))
     images = [phi_bijection(a, n) for a in source]
+    image_set = set(images)
     touching, untouched = [], []
     for a in enumerate_fast(n, Family.ODP, height=p):
-        (touching if n in a.domain or n in a.image else untouched).append(a)
+        # a is order-preserving and nonempty (p >= 2), so its last pair holds
+        # both its largest domain point and its largest image point
+        (touching if n in a.pairs[-1] else untouched).append(a)
     inherited = 0 if p > n - 1 else count_by("height", n - 1, Family.ODP)[p]
     return {
-        "injective": len(set(images)) == len(images),
-        "image_exact": set(images) == set(touching),
+        "injective": len(image_set) == len(images),
+        "image_exact": image_set == set(touching),
         "decomposition": len(touching) == f_height_odp(n - 1, p - 1)
         and len(untouched) == inherited
         and len(touching) + len(untouched) == f_height_odp(n, p),

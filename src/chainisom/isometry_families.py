@@ -18,8 +18,8 @@ element sources are provided:
   and ``greens_structure`` reads the Green's classes off the walk and the
   rule.  :func:`enumerate_fast` builds one value per image.  Each element
   is canonical by construction, so it is built without re-running the
-  :class:`PartialInjection` validation; besides ``chain_maps.compose``
-  this is the only unvalidated construction site.
+  :class:`PartialInjection` validation; ``chain_maps.compose`` and
+  ``chain_maps.inverse`` are the other unvalidated construction sites.
 * :func:`enumerate_oracle` generates every partial injection of the chain
   through the validating constructor and filters by membership.  It is
   deliberately naive; the ``oracle-equivalence`` check and the test suite
@@ -158,9 +158,10 @@ def _images(n, family, dom):
     x -> x + t that keep the image in 1..n and, for dp from two points up,
     the reflections x -> c - x that do."""
     lo, hi = dom[0], dom[-1]
-    images = [tuple(x + t for x in dom) for t in range(1 - lo, n - hi + 1)]
+    # tuple() of a list comprehension: a generator per image costs more
+    images = [tuple([x + t for x in dom]) for t in range(1 - lo, n - hi + 1)]
     if family is Family.DP and len(dom) >= 2:
-        images.extend(tuple(c - x for x in dom) for c in range(hi + 1, n + lo + 1))
+        images += [tuple([c - x for x in dom]) for c in range(hi + 1, n + lo + 1)]
         images.sort()
     return images
 

@@ -262,7 +262,27 @@ class TestCompose:
             compose(b, PartialInjection(b.n + 1))
 
 
+def assert_is_validated_transpose(a):
+    # inverse builds its value unvalidated; it must be the value the
+    # validating constructor builds from the transposed pairs
+    b = inverse(a)
+    reference = PartialInjection(a.n, [(y, x) for x, y in a.pairs])
+    assert type(b) is PartialInjection
+    assert (b.n, b.pairs) == (reference.n, reference.pairs)
+    assert b == reference and reference == b
+    assert hash(b) == hash(reference)
+    assert vars(b) == {"n": reference.n, "pairs": reference.pairs}
+    with pytest.raises(AttributeError):
+        b.pairs = ()
+
+
 class TestInverse:
+    def test_is_the_validated_transpose_over_both_families_up_to_6(self):
+        for n in range(7):
+            for fam in Family:
+                for a in enumerate_fast(n, fam):
+                    assert_is_validated_transpose(a)
+
     def test_transposition(self):
         assert inverse(PartialInjection(3, [(1, 2), (2, 3)])) == \
             PartialInjection(3, [(2, 1), (3, 2)])
@@ -393,6 +413,10 @@ class TestRandomised:
     @given(partial_injections())
     def test_serialisation_round_trips(self, a):
         assert from_json(to_json(a)) == a
+
+    @given(partial_injections())
+    def test_inverse_is_the_validated_transpose(self, a):
+        assert_is_validated_transpose(a)
 
     @given(partial_injections())
     def test_inverse_laws(self, a):

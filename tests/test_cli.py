@@ -10,9 +10,17 @@ from pathlib import Path
 import pytest
 
 import chainisom
-from chainisom import ChainIsomError, DomainError, checks, closed_forms, isometry_families
-from chainisom.chain_maps import PartialInjection, _trusted, compose, from_json, to_json
-from chainisom.cli import _compact, main
+from chainisom import ChainIsomError, DomainError, checks, cli, closed_forms, isometry_families
+from chainisom.chain_maps import (
+    PartialInjection,
+    _trusted,
+    compose,
+    from_json,
+    is_order_preserving,
+    is_order_reversing,
+    to_json,
+)
+from chainisom.cli import COMMANDS, _build_parser, _compact, main
 from chainisom.greens_structure import RELATIONS
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
@@ -608,6 +616,150 @@ class TestPhiBijectionCatchesACollision:
         assert out.splitlines()[-1] == "FAIL"
         assert out.splitlines()[0].startswith(f"FAIL n={self.N} p={self.P} witness=")
         assert _first_fail_witness(out) == closed_forms.phi_bijection_report(self.N, self.P)
+
+
+def _fix_trichotomy_holds(a):
+    return sum(x == y for x, y in a.pairs) in (0, 1, a.height)
+
+
+def _dichotomy_holds(a):
+    return is_order_preserving(a) or is_order_reversing(a)
+
+
+class TestWalkChecksCatchABadMap:
+    """fix-trichotomy and dichotomy read their maps off the enumeration
+    walk; one map on the walk that breaks the property must fail the check,
+    with that map as the witness, and the witness rebuilt through the
+    validating constructor must break the property too."""
+
+    N = 4
+    # each map lies on the domain (1, 2, 3): two fixed points of three, and
+    # an image that rises and then falls
+    CASES = {
+        "fix-trichotomy": ((1, 2, 4), _fix_trichotomy_holds),
+        "dichotomy": ((1, 3, 2), _dichotomy_holds),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def injected(self, request, monkeypatch):
+        bad, holds = self.CASES[request.param]
+        real = isometry_families._images
+
+        def fake(n, family, dom):
+            images = real(n, family, dom)
+            if n == self.N and dom == (1, 2, 3):
+                images.append(bad)
+            return images
+
+        monkeypatch.setattr(isometry_families, "_images", fake)
+        return request.param, PartialInjection(self.N, zip((1, 2, 3), bad)), holds
+
+    def test_verify_exits_1_naming_the_injected_map(self, injected, capsys):
+        check, bad, holds = injected
+        code, out = run(capsys, "verify", "--check", check, "--n-range", "3..5")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[:3] == [
+            "ok n=3 family=dp",
+            f"FAIL n=4 family=dp witness={_compact({'element': to_json(bad)})}",
+            "ok n=5 family=dp",
+        ]
+        assert lines[-1] == "FAIL"
+        witness = _first_fail_witness(out)
+        assert witness == {"element": to_json(bad)}
+        assert not holds(from_json(witness["element"]))
+
+
+class TestInverseLawsCatchesAWrongInverse:
+    """inverse-laws must fail when ``inverse`` returns a wrong transpose for
+    one map, in each family holding that map, with the map as the witness."""
+
+    # a translation by 1, so a member of both families
+    TARGET = PartialInjection(3, [(1, 2), (2, 3)])
+
+    @pytest.fixture
+    def wrong(self, monkeypatch):
+        real = checks.inverse
+
+        def fake(a):
+            # the map itself, not its transpose
+            return a if a == self.TARGET else real(a)
+
+        monkeypatch.setattr(checks, "inverse", fake)
+
+    def test_verify_exits_1_naming_the_map(self, wrong, capsys):
+        code, out = run(capsys, "verify", "--check", "inverse-laws", "--n-range", "2..3")
+        assert code == 1
+        witness = _compact({"element": to_json(self.TARGET)})
+        assert out.splitlines() == [
+            "ok n=2 family=dp",
+            "ok n=2 family=odp",
+            f"FAIL n=3 family=dp witness={witness}",
+            f"FAIL n=3 family=odp witness={witness}",
+            "inverse-laws: 2/4 instances passed",
+            "FAIL",
+        ]
+        a = from_json(_first_fail_witness(out)["element"])
+        b = checks.inverse(a)
+        assert compose(compose(a, b), a) != a
+
+
+def _parse_output(capsys, parser, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
+class TestParser:
+    """main builds only the subparser of the command it is given; what a
+    user sees of the parser must not change with that."""
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_one_subparser_helps_and_refuses_as_all_do(self, capsys, name):
+        for argv in ([name, "--help"], [name]):
+            whole = _parse_output(capsys, _build_parser(), argv)
+            alone = _parse_output(capsys, _build_parser(name), argv)
+            assert whole == alone
+        assert whole[0] == 2 and "required" in whole[2]
+
+    def test_holds_one_subparser(self):
+        parser = _build_parser("table")
+        assert parser.format_usage() == "usage: chainisom [-h] {table} ...\n"
+        assert _build_parser().format_usage() == (
+            "usage: chainisom [-h] {enumerate,table,verify,greens,structure} ...\n"
+        )
+
+    def test_main_builds_the_named_subparser_only(self, capsys, monkeypatch):
+        built = []
+
+        def recording(only=None):
+            built.append(only)
+            return _build_parser(only)
+
+        monkeypatch.setattr(cli, "_build_parser", recording)
+        code, _ = run(capsys, "table", "--family", "odp", "--by", "height", "--max-n", "2")
+        assert (code, built) == (0, ["table"])
+        built.clear()
+        run(capsys, "--help")
+        assert built == [None]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["frobnicate"], []])
+    def test_help_and_unknown_command_list_every_command(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _parse_output(
+            capsys, _build_parser(), argv)
+        assert "{enumerate,table,verify,greens,structure}" in captured.out + captured.err
+
+    def test_unrecognized_argument_error_lists_every_command(self, capsys):
+        argv = ["table", "--family", "odp", "--by", "height", "--max-n", "2", "extra"]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert (code, "", err) == _parse_output(capsys, _build_parser(), argv)
+        assert err.startswith(
+            "usage: chainisom [-h] {enumerate,table,verify,greens,structure} ...\n")
+        assert err.endswith("error: unrecognized arguments: extra\n")
 
 
 class TestGreens:
