@@ -12,12 +12,9 @@ from .chain_maps import (
     PartialInjection,
     compose,
     from_json,
-    gap_signature,
     inverse,
     is_isometry,
     is_order_preserving,
-    is_order_reversing,
-    partial_identity,
     to_json,
     to_text,
 )

@@ -131,11 +131,6 @@ def _malformed(pairs) -> str:
     return f"pairs {pairs!r} hold an entry that is not an (x, y) pair"
 
 
-def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:
-    """The restriction of the identity map to ``points``."""
-    return PartialInjection(n, tuple((x, x) for x in points))
-
-
 def _trusted(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
     # Builds the value as PartialInjection.__init__ would, without its
     # validation.  Sound only where n is an int >= 0 and pairs is already
@@ -176,9 +171,12 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
         object.__setattr__(b, "_lookup", lookup)
     # Built as _trusted builds a value, but inline and with plain dict
     # stores: that call and its two object.__setattr__ calls were about
-    # half the cost of a product.  a.pairs is sorted by distinct domain
-    # points and filtering keeps that order, and the images lookup[y] are
-    # distinct points of 1..n because the y are distinct and b is injective.
+    # half the cost of a product.  The stores make later reads of a field
+    # slower (see _trusted), but every caller reads a product's fields
+    # once or twice and never makes it a right factor.  a.pairs is sorted
+    # by distinct domain points and filtering keeps that order, and the
+    # images lookup[y] are distinct points of 1..n because the y are
+    # distinct and b is injective.
     value = object.__new__(PartialInjection)
     fields = value.__dict__
     fields["n"] = a.n
@@ -217,29 +215,6 @@ def is_isometry(a: PartialInjection) -> bool:
 def is_order_preserving(a: PartialInjection) -> bool:
     """True when x <= y implies xa <= ya on the domain (vacuous for height <= 1)."""
     return all(y1 < y2 for (_, y1), (_, y2) in zip(a.pairs, a.pairs[1:]))
-
-
-def is_order_reversing(a: PartialInjection) -> bool:
-    """True when x <= y implies xa >= ya on the domain (vacuous for height <= 1)."""
-    return all(y1 > y2 for (_, y1), (_, y2) in zip(a.pairs, a.pairs[1:]))
-
-
-def gap_signature(points: Iterable[int]) -> tuple[int, ...]:
-    """Successive differences of a sorted, duplicate-free point sequence.
-
-    Two subsets of the chain have the same signature exactly when one is a
-    translate of the other; reversing the signature corresponds to
-    reflecting the set.
-
-    >>> gap_signature([1, 3, 4])
-    (2, 1)
-    >>> gap_signature([2, 4, 5]) == gap_signature([1, 3, 4])
-    True
-    """
-    pts = tuple(points)
-    if any(p2 <= p1 for p1, p2 in zip(pts, pts[1:])):
-        raise ValueError("points must be strictly increasing")
-    return tuple(p2 - p1 for p1, p2 in zip(pts, pts[1:]))
 
 
 # Serialized forms.  JSON: {"n": 3, "map": [[2, 2], [3, 1]]} with pairs

@@ -57,14 +57,6 @@ from .isometry_families import (
 FAMILIES = (Family.DP, Family.ODP)
 
 
-def _first_failures(n, ok):
-    """Scan each family element by element for the first one failing ``ok``."""
-    for fam in FAMILIES:
-        bad = next((a for a in enumerate_fast(n, fam) if not ok(a)), None)
-        witness = None if bad is None else {"element": to_json(bad)}
-        yield {"n": n, "family": fam.value}, bad is None, witness
-
-
 def _first_failing_dp_map(n, ok):
     """Scan dp on the n-chain for the first map failing ``ok(domain,
     image)``, reading ``(domain, image)`` off the enumeration walk: no value
@@ -320,7 +312,10 @@ def inverse_laws(n):
         b = inverse(a)
         return compose(compose(a, b), a) == a and compose(compose(b, a), b) == b
 
-    return _first_failures(n, ok)
+    for fam in FAMILIES:
+        bad = next((a for a in enumerate_fast(n, fam) if not ok(a)), None)
+        witness = None if bad is None else {"element": to_json(bad)}
+        yield {"n": n, "family": fam.value}, bad is None, witness
 
 
 # smallest_n: the recurrences and phi need p >= 3, the sum identity n >= 2,

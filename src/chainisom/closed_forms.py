@@ -20,6 +20,7 @@ from .isometry_families import (
     CountTable,
     Family,
     _check_chain_size,
+    _check_family,
     count_by,
     enumerate_fast,
     is_member,
@@ -122,7 +123,7 @@ def _by_family(family: Family, dp, odp):
         return dp
     if family is Family.ODP:
         return odp
-    raise DomainError(f"family must be a Family, got {family!r}")
+    _check_family(family)  # family is not a Family here, so this raises
 
 
 def f_height(family: Family, n: int, p: int) -> int:

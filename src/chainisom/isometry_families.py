@@ -68,7 +68,12 @@ def is_member(a: PartialInjection, family: Family) -> bool:
         return is_isometry(a)
     if family is Family.ODP:
         return is_isometry(a) and is_order_preserving(a)
-    raise DomainError(f"family must be a Family, got {family!r}")
+    _check_family(family)  # family is not a Family here, so this raises
+
+
+def _check_family(family) -> None:
+    if not isinstance(family, Family):
+        raise DomainError(f"family must be a Family, got {family!r}")
 
 
 def _check_chain_size(n: int) -> None:
@@ -81,8 +86,7 @@ def _check_chain_size(n: int) -> None:
 def _check_request(n, family, height, cap):
     """The argument checks of :func:`enumerate_fast` and :func:`count_by`,
     made before either walks the family."""
-    if not isinstance(family, Family):
-        raise DomainError(f"family must be a Family, got {family!r}")
+    _check_family(family)
     # exact type, as for PartialInjection's chain size: the elements are
     # built unvalidated, so a bool or float n would reach them unchecked,
     # and a bool or float cap would pass for a number it is not
@@ -92,8 +96,7 @@ def _check_request(n, family, height, cap):
         )
     if type(cap) is not int:
         raise DomainError(f"cap must be an int, got {cap!r}")
-    if n < 0:
-        raise DomainError(f"chain size must be non-negative, got {n}")
+    _check_chain_size(n)
     if n > cap:
         raise LimitExceeded(f"enumeration at n={n} exceeds the cap {cap}")
     if height is not None and not 0 <= height <= n:
@@ -179,8 +182,7 @@ def enumerate_oracle(n: int, family: Family) -> Iterator[PartialInjection]:
     size 8 already has about 1.4 million partial injections, so larger
     chains are refused.
     """
-    if not isinstance(family, Family):
-        raise DomainError(f"family must be a Family, got {family!r}")
+    _check_family(family)
     _check_chain_size(n)
     if n > ORACLE_CAP:
         raise LimitExceeded(f"oracle enumeration is capped at n={ORACLE_CAP}, got {n}")
@@ -264,8 +266,7 @@ class CountTable(namedtuple("CountTable", "statistic family rows row_sums")):
 
     def __new__(cls, statistic: str, family: Family, rows, row_sums):
         _statistic(statistic)
-        if not isinstance(family, Family):
-            raise DomainError(f"family must be a Family, got {family!r}")
+        _check_family(family)
         if not rows:
             raise DomainError("a count table needs at least the row n = 0")
         if len(rows) != len(row_sums):

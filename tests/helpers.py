@@ -1,5 +1,9 @@
-"""Shared cached fixtures (enumerated families and their tables) and oracles."""
+"""Shared cached fixtures (enumerated families and their tables), oracles,
+and the code walker behind the tests that check what reaches what."""
 
+import inspect
+import types
+from collections.abc import Iterable
 from functools import lru_cache
 
 from chainisom import (
@@ -13,10 +17,35 @@ from chainisom import (
     build_table,
     compose,
     enumerate_fast,
-    gap_signature,
     greens_classes_criterion,
     is_member,
 )
+from chainisom.checks import Check
+
+
+def partial_identity(n: int, points: Iterable[int]) -> PartialInjection:
+    """The restriction of the identity map to ``points``; the idempotents
+    are exactly these maps."""
+    return PartialInjection(n, tuple((x, x) for x in points))
+
+
+def is_order_reversing(a: PartialInjection) -> bool:
+    """True when x <= y implies xa >= ya on the domain (vacuous for height <= 1)."""
+    return all(y1 > y2 for (_, y1), (_, y2) in zip(a.pairs, a.pairs[1:]))
+
+
+def gap_signature(points: Iterable[int]) -> tuple[int, ...]:
+    """Successive differences of a sorted, duplicate-free point sequence.
+
+    Two subsets of the chain have the same signature exactly when one is a
+    translate of the other; reversing the signature corresponds to
+    reflecting the set.  This is the D-class key of
+    :func:`criterion_partition_reference`.
+    """
+    pts = tuple(points)
+    if any(p2 <= p1 for p1, p2 in zip(pts, pts[1:])):
+        raise ValueError("points must be strictly increasing")
+    return tuple(p2 - p1 for p1, p2 in zip(pts, pts[1:]))
 
 
 @lru_cache(maxsize=None)
@@ -159,3 +188,48 @@ def validate_reference(n, pairs):
     if len({y for _, y in pairs}) != len(pairs):
         raise NotInjective("an image point is hit twice")
     return pairs
+
+
+# The package's definitions that no caller inside it reaches and that users
+# are told to use all the same: README has them write a new check as a
+# ``Check`` record.
+PUBLIC = (Check,)
+
+
+def walk_code(*roots):
+    """The functions and classes that ``roots`` reach, and the names their
+    code refers to, globals and attributes alike.
+
+    A function's code reaches each global it names: a function or class
+    bound to the name, one held in a tuple or dict so bound, and one held
+    in a tuple that such a dict holds (``cli.COMMANDS`` and
+    ``checks.CHECKS``).  A reached function is followed in turn, and so is
+    the code of a function defined inside it; a reached class is followed
+    into its methods and properties.  Only the definitions of the package
+    and of the roots' own modules are followed."""
+    modules = {"chainisom", *(root.__module__ for root in roots)}
+    found, names, todo = set(), set(), list(roots)
+    while todo:
+        obj = todo.pop()
+        if obj in found or obj.__module__.partition(".")[0] not in modules:
+            continue
+        found.add(obj)
+        if inspect.isclass(obj):
+            for attr in vars(obj).values():
+                if isinstance(attr, property):
+                    todo += [f for f in (attr.fget, attr.fset, attr.fdel) if f]
+                elif inspect.isfunction(attr):
+                    todo.append(attr)
+            continue
+        codes = [obj.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            for name in code.co_names:
+                target = obj.__globals__.get(name)
+                for value in target.values() if isinstance(target, dict) else [target]:
+                    for v in value if isinstance(value, tuple) else [value]:
+                        if inspect.isfunction(v) or inspect.isclass(v):
+                            todo.append(v)
+    return found, names

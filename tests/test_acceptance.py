@@ -18,12 +18,11 @@ from chainisom import (
     greens_classes_criterion,
     is_inverse,
     is_order_preserving,
-    is_order_reversing,
 )
 from chainisom.checks import run_check
 from chainisom.cli import main
 
-from helpers import elements, table
+from helpers import elements, is_order_reversing, table
 from test_closed_forms import (
     DP_BY_FIX,
     DP_BY_HEIGHT,

@@ -12,16 +12,19 @@ from chainisom import (
     PartialInjection,
     compose,
     from_json,
-    gap_signature,
     inverse,
     is_isometry,
     is_order_preserving,
-    is_order_reversing,
-    partial_identity,
     to_json,
     to_text,
 )
-from helpers import elements, validate_reference
+from helpers import (
+    elements,
+    gap_signature,
+    is_order_reversing,
+    partial_identity,
+    validate_reference,
+)
 from chainisom import Family, enumerate_fast
 
 

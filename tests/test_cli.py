@@ -17,7 +17,6 @@ from chainisom.chain_maps import (
     compose,
     from_json,
     is_order_preserving,
-    is_order_reversing,
     to_json,
 )
 from chainisom.cli import COMMANDS, _build_parser, _compact, main
@@ -29,6 +28,7 @@ from helpers import (
     count_by_reference,
     criterion_partition_reference,
     first_product_outside_all_pairs,
+    is_order_reversing,
     table,
 )
 from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
@@ -188,6 +188,19 @@ class TestTable:
                    "--max-n", "-1")[0] == 2
         assert run(capsys, "table", "--family", "dp", "--by", "fix",
                    "--max-n", "-1", "--empirical")[0] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--family", "dp", "--by", "height", "--max-n", "-1"],
+        ["table", "--family", "dp", "--by", "height", "--max-n", "-1", "--empirical"],
+        ["enumerate", "--n", "-1", "--family", "dp"],
+        ["greens", "--n", "-1", "--family", "dp", "--classes", "d"],
+        ["structure", "--n", "-1", "--family", "dp"],
+    ])
+    def test_negative_chain_size_reads_the_same_on_every_route(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: chain size must be a non-negative int, got -1\n"
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import ast
 import doctest
 import importlib
 import inspect
@@ -9,7 +10,11 @@ from pathlib import Path
 import pytest
 
 import chainisom
+from chainisom import chain_maps
+from chainisom.checks import CHECKS
 from chainisom.cli import main
+
+from helpers import PUBLIC, walk_code
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,11 +35,15 @@ def test_module_doctests(name):
     assert failures == 0
 
 
-def test_readme_library_example(capsys):
-    # the python block under "## Library" runs as shown
+def _library_block():
+    """The python block under README's "## Library"."""
     library = README.read_text().split("\n## Library\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
-    exec(compile(block, str(README), "exec"), {})
+    return re.search(r"```python\n(.*?)```", library, re.S).group(1)
+
+
+def test_readme_library_example(capsys):
+    # the Library block runs as shown
+    exec(compile(_library_block(), str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == ["(2 / 2)", "319", "319"]
 
 
@@ -66,3 +75,45 @@ def test_readme_cli_tour(capsys, command, shown):
         r"(?:.*\n)*?" if line == "..." else re.escape(line) + r"\n" for line in shown
     )
     assert re.fullmatch(pattern, "".join(line + "\n" for line in out)), out
+
+
+def test_readme_lists_every_check_in_registry_order():
+    # users pick --check from this list
+    listed = README.read_text().split("Available checks:", 1)[1].split(".\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", listed) == list(CHECKS)
+
+
+def _unreached():
+    """Every top-level function and class defined in the package that
+    neither the command line nor the names README's Library block imports
+    reach, and that ``PUBLIC`` does not list, as ``module.name``."""
+    library = [
+        getattr(chainisom, alias.name)
+        for node in ast.walk(ast.parse(_library_block()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    found, _ = walk_code(main, *library)
+    return sorted(
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr, obj in vars(importlib.import_module(name)).items()
+        if (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == name
+        and obj not in found
+        and obj not in PUBLIC
+    )
+
+
+def test_every_definition_has_a_caller():
+    missing = _unreached()
+    assert not missing, f"no caller: {missing}"
+
+
+def test_reachability_names_a_definition_with_no_caller(monkeypatch):
+    def orphan():
+        return None
+
+    orphan.__module__ = chain_maps.__name__
+    monkeypatch.setattr(chain_maps, "_orphan", orphan, raising=False)
+    assert _unreached() == ["chainisom.chain_maps._orphan"]

@@ -1,7 +1,5 @@
-import inspect
 import json
 import random
-import types
 
 import pytest
 
@@ -27,7 +25,6 @@ from chainisom import (
     is_categorical,
     is_inverse,
     is_zero_e_unitary,
-    partial_identity,
     replay_witness,
     witness_to_json,
 )
@@ -38,9 +35,11 @@ from helpers import (
     criterion_blocks,
     criterion_partition_reference,
     elements,
+    partial_identity,
     rees_quotient_reference,
     rees_table,
     table,
+    walk_code,
 )
 
 BOTH = (Family.DP, Family.ODP)
@@ -237,32 +236,6 @@ class TestCriterionPartitions:
             assert greens_classes_criterion(5, Family.DP, rel, cap=5)[0] > 0
 
 
-def reached_names(fn):
-    """The names that ``fn`` refers to, globals and attributes alike, with
-    those of every package function it reaches: a function named by one
-    of them, or held in a dict so named, is followed in turn, as is the
-    code of a function defined inside one."""
-    names, seen, todo = set(), set(), [fn]
-    while todo:
-        f = todo.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        codes = [f.__code__]
-        while codes:
-            code = codes.pop()
-            names.update(code.co_names)
-            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-            for name in code.co_names:
-                target = f.__globals__.get(name)
-                found = target.values() if isinstance(target, dict) else [target]
-                todo += [
-                    g for g in found
-                    if inspect.isfunction(g) and g.__module__.startswith(("chainisom", __name__))
-                ]
-    return names
-
-
 def calls_partition_from_keys(n):
     return _partition_from_keys(range(n))
 
@@ -271,13 +244,13 @@ class TestRouteIndependence:
     # the two Green's routes share no code: the criterion route reads the
     # enumeration walk and never a table, the oracle reads a table alone
     def test_criterion_reaches_no_table_code(self):
-        reached = reached_names(greens_classes_criterion)
+        _, reached = walk_code(greens_classes_criterion)
         assert {"_walk", "_images", "_check_request"} <= reached
         for name in ("_partition_from_keys", "compose", "build_table", "SemigroupTable"):
             assert name not in reached, name
 
     def test_oracle_reaches_no_walk_code(self):
-        reached = reached_names(greens_classes_oracle)
+        _, reached = walk_code(greens_classes_oracle)
         assert "_partition_from_keys" in reached
         for name in ("_walk", "gap_signature", "_d_key"):
             assert name not in reached, name
@@ -286,7 +259,8 @@ class TestRouteIndependence:
         def route(n):
             return calls_partition_from_keys(n)
 
-        assert "_partition_from_keys" in reached_names(route)
+        _, reached = walk_code(route)
+        assert "_partition_from_keys" in reached
 
 
 def assert_well_formed(partition, k):
