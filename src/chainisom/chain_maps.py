@@ -10,22 +10,18 @@ Values are immutable, hashable, and compare structurally (the chain size is
 part of the identity: the same pair list on chains of different sizes gives
 unequal values).  The empty map is legal for every n, including n = 0, and
 acts as a multiplicative zero.  Every function here depends only on its
-arguments.  One has a side effect: ``compose`` stores its right factor's
-lookup dict on that factor the first time the factor is used, so the k
-uses of a right factor in a k*k table build the dict once.  The memo is not
-one of the value's two fields, ``n`` and ``pairs``, so it changes no
+arguments.  One has a side effect: ``compose`` stores ``dict(b.pairs)`` in
+its right factor b's ``_lookup`` slot, unset until b is first a right
+factor, so the k uses of b in a k*k table build the dict once.  The memo is
+not one of the value's two fields, ``n`` and ``pairs``, so it changes no
 equality, hash, repr or serialized form.  It is never mutated once stored,
 and two threads racing to store it store equal dicts, so values are still
 safe to share across threads.
 
-Every value is validated when it is built, with three exceptions that
-skip the validation because their values are canonical by construction:
-``compose`` (the composite of two valid maps on one chain), which builds
-its result inline, ``isometry_families.enumerate_fast`` (a translation or
-reflection restricted to an increasing domain) and :func:`inverse` (the
-transpose of a valid map, sorted), which build through ``_trusted``.
-Everything else, :func:`from_json` included, builds through the validating
-constructor.
+Every value is validated when it is built, except by ``_trusted``, which
+:func:`compose`, :func:`inverse` and ``isometry_families.enumerate_fast``
+use for values that are canonical by construction.  Everything else,
+:func:`from_json` included, builds through the validating constructor.
 """
 
 from __future__ import annotations
@@ -41,16 +37,15 @@ class PartialInjection:
     Construction normalises the pair list (sorted by domain point) and
     rejects anything that is not a partial injection, so every value that
     exists is canonical.  Values are immutable: assigning or deleting an
-    attribute raises :class:`AttributeError`.
+    attribute raises :class:`AttributeError`, so copies and pickles are
+    rebuilt through the constructor.
 
     >>> PartialInjection(3, [(3, 1), (2, 2)]).pairs
     ((2, 2), (3, 1))
     """
 
-    # compose's memo of dict(pairs) for this value as a right factor; stored
-    # on the instance by compose, not a field: it takes no part in ==, hash,
-    # repr or to_json
-    _lookup = None
+    # _lookup holds compose's memo (see the module docstring)
+    __slots__ = ("n", "pairs", "_lookup")
 
     def __init__(self, n: int, pairs: Iterable = ()):
         if type(n) is not int or n < 0:
@@ -73,8 +68,8 @@ class PartialInjection:
             raise NotFunctional(f"domain point {x} is mapped twice")
         if len(set(lookup.values())) != len(items):
             raise NotInjective("an image point is hit twice")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", tuple(items))
+        _set_n(self, n)
+        _set_pairs(self, tuple(items))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -89,6 +84,9 @@ class PartialInjection:
 
     def __hash__(self):
         return hash((self.n, self.pairs))
+
+    def __reduce__(self):
+        return (PartialInjection, (self.n, self.pairs))
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(n={self.n!r}, pairs={self.pairs!r})"
@@ -115,6 +113,12 @@ class PartialInjection:
         return to_text(self)
 
 
+# slot setters: they skip the raising __setattr__ faster than object.__setattr__
+_set_n = PartialInjection.n.__set__
+_set_pairs = PartialInjection.pairs.__set__
+_set_lookup = PartialInjection._lookup.__set__
+
+
 def _malformed(pairs) -> str:
     """Name what in ``pairs`` is not an (x, y) pair: the failure path of the
     constructor's unpacking, so it may walk ``pairs`` again."""
@@ -135,28 +139,27 @@ def _trusted(n: int, pairs: tuple[tuple[int, int], ...]) -> PartialInjection:
     # Builds the value as PartialInjection.__init__ would, without its
     # validation.  Sound only where n is an int >= 0 and pairs is already
     # a canonical partial injection of the n-chain.  Its callers are
-    # enumerate_fast and inverse.  In enumerate_fast the domain comes from
-    # combinations(range(1, n + 1), h), so it is strictly increasing; a
-    # translation x + t with t in 1 - lo..n - hi and a reflection c - x
-    # with c in hi + 1..n + lo keep every image in 1..n, and both maps are
-    # injective.  inverse sorts the transpose of a validated map, whose
-    # images are distinct points of 1..n.  compose builds its result the
-    # same way, inline.  The fields go through object.__setattr__, not
-    # value.__dict__: on CPython 3.11, reading __dict__ moves the value's
-    # fields into a dict object, and every later read of a field is slower.
+    # compose, inverse and enumerate_fast.  In compose, a.pairs is sorted
+    # by distinct domain points and filtering keeps that order, and the
+    # images lookup[y] are distinct points of 1..n because the y are
+    # distinct and b is injective.  inverse sorts the transpose of a
+    # validated map, whose images are distinct points of 1..n.  In
+    # enumerate_fast the domain comes from combinations(range(1, n + 1), h),
+    # so it is strictly increasing; a translation x + t with t in
+    # 1 - lo..n - hi and a reflection c - x with c in hi + 1..n + lo keep
+    # every image in 1..n, and both maps are injective.
     value = object.__new__(PartialInjection)
-    object.__setattr__(value, "n", n)
-    object.__setattr__(value, "pairs", pairs)
+    _set_n(value, n)
+    _set_pairs(value, pairs)
     return value
 
 
 def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """Left-to-right composite: x(ab) = (xa)b, defined where both steps are.
 
-    The result is built without re-validation: both factors were validated
-    when they were built, so the composite is already a sorted, injective
-    pair list on the same chain.  The first call with ``b`` as the right
-    factor stores ``dict(b.pairs)`` on ``b``; later calls read it back.
+    The result is built without re-validation, as both factors were
+    validated.  The first call with ``b`` as the right factor stores
+    ``dict(b.pairs)`` on ``b``; later calls read it back.
 
     >>> a = PartialInjection(3, [(1, 1), (2, 2)])
     >>> b = PartialInjection(3, [(2, 2), (3, 1)])
@@ -165,31 +168,18 @@ def compose(a: PartialInjection, b: PartialInjection) -> PartialInjection:
     """
     if a.n != b.n:
         raise MismatchedChain(f"cannot compose maps on chains of size {a.n} and {b.n}")
-    lookup = b._lookup
-    if lookup is None:
+    try:
+        lookup = b._lookup
+    except AttributeError:
         lookup = dict(b.pairs)
-        object.__setattr__(b, "_lookup", lookup)
-    # Built as _trusted builds a value, but inline and with plain dict
-    # stores: that call and its two object.__setattr__ calls were about
-    # half the cost of a product.  The stores make later reads of a field
-    # slower (see _trusted), but every caller reads a product's fields
-    # once or twice and never makes it a right factor.  a.pairs is sorted
-    # by distinct domain points and filtering keeps that order, and the
-    # images lookup[y] are distinct points of 1..n because the y are
-    # distinct and b is injective.
-    value = object.__new__(PartialInjection)
-    fields = value.__dict__
-    fields["n"] = a.n
-    fields["pairs"] = tuple([(x, lookup[y]) for x, y in a.pairs if y in lookup])
-    return value
+        _set_lookup(b, lookup)
+    return _trusted(a.n, tuple([(x, lookup[y]) for x, y in a.pairs if y in lookup]))
 
 
 def inverse(a: PartialInjection) -> PartialInjection:
     """Transpose of ``a``; satisfies a * inverse(a) * a == a.
 
-    Built without re-validation: ``a`` was validated when it was built, so
-    its images are distinct points of 1..n, and the sorted transpose is a
-    canonical partial injection of the same chain.
+    Built without re-validation, as ``a`` was validated.
 
     >>> inverse(PartialInjection(3, [(1, 2), (2, 3)])).pairs
     ((2, 1), (3, 2))

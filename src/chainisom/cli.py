@@ -261,10 +261,10 @@ def cmd_greens(args) -> int:
 
 def cmd_structure(args) -> int:
     fam = Family(args.family)
-    table = build_table(enumerate_fast(args.n, fam))
-    summaries = [_structure_summary(table, f"{fam.value} n={args.n}")]
-    if args.rees_p is not None:
-        quotient = build_rees_quotient(args.n, args.rees_p)
+    elements = enumerate_fast(args.n, fam)  # refuse a bad n, then a bad p, before the table
+    quotient = None if args.rees_p is None else build_rees_quotient(args.n, args.rees_p)
+    summaries = [_structure_summary(build_table(elements), f"{fam.value} n={args.n}")]
+    if quotient is not None:
         summaries.append(_structure_summary(quotient, f"Q({args.n},{args.rees_p})"))
     if args.format == "json":
         print(_dumps({"structures": summaries}, indent=2))

@@ -461,20 +461,30 @@ def is_categorical(table: SemigroupTable):
     return True, None
 
 
+_WITNESS_ARITY = {"not_0_E_unitary": 2, "not_categorical": 3}
+
+
+def _witness_elements(table: SemigroupTable, witness: Witness) -> tuple:
+    """``witness.elements``, once they are as many indices of ``table`` as its kind fixes."""
+    els, k = witness.elements, len(table)
+    if (type(els) is not tuple or len(els) != _WITNESS_ARITY.get(witness.kind)
+            or not all(type(i) is int and 0 <= i < k for i in els)):
+        raise DomainError(f"malformed witness for a table on 0..{k - 1}: {witness!r}")
+    return els
+
+
 def replay_witness(table: SemigroupTable, witness: Witness) -> bool:
     """Re-run the witness products; True when the violation reproduces."""
     z = _require_zero(table)
     mult = table.mult
     if witness.kind == "not_0_E_unitary":
-        e, s = witness.elements
+        e, s = _witness_elements(table, witness)
         idem = idempotents(table)
         es = mult[e][s]
         return e in idem and e != z and es in idem and es != z and s not in idem
-    if witness.kind == "not_categorical":
-        a, b, c = witness.elements
-        ab = mult[a][b]
-        return ab != z and mult[b][c] != z and mult[ab][c] == z
-    raise DomainError(f"unknown witness kind {witness.kind!r}")
+    a, b, c = _witness_elements(table, witness)
+    ab = mult[a][b]
+    return ab != z and mult[b][c] != z and mult[ab][c] == z
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +529,14 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
 # Exports
 
 def witness_to_json(table: SemigroupTable, witness: Witness | None) -> dict | None:
-    """A witness's JSON form, each element with its index; None for None."""
+    """A witness's JSON form, each element with its index; None for None.
+    A malformed witness raises :class:`DomainError`."""
     if witness is None:
         return None
     return {
         "kind": witness.kind,
         "elements": [
             {"index": i, **to_json(table.elements[i])}
-            for i in witness.elements
+            for i in _witness_elements(table, witness)
         ],
     }

@@ -17,9 +17,8 @@ element sources are provided:
   element value: the CLI renders ``enumerate`` output straight from it,
   and ``greens_structure`` reads the Green's classes off the walk and the
   rule.  :func:`enumerate_fast` builds one value per image.  Each element
-  is canonical by construction, so it is built without re-running the
-  :class:`PartialInjection` validation; ``chain_maps.compose`` and
-  ``chain_maps.inverse`` are the other unvalidated construction sites.
+  is canonical by construction, so it is built through
+  ``chain_maps._trusted``, without the :class:`PartialInjection` validation.
 * :func:`enumerate_oracle` generates every partial injection of the chain
   through the validating constructor and filters by membership.  It is
   deliberately naive; the ``oracle-equivalence`` check and the test suite

@@ -239,10 +239,11 @@ class TestCompose:
 
     @given(right_factor_cases())
     def test_memo_matches_plain_lookup(self, case):
-        # compose keeps dict(b.pairs) on b after its first use as a right
-        # factor; every use, first and later, must agree with a fresh dict
+        # compose keeps dict(b.pairs) in b's _lookup slot after its first
+        # use as a right factor, and leaves the slot unset until then; every
+        # use, first and later, must agree with a fresh dict
         lefts, b = case
-        assert b._lookup is None
+        assert not hasattr(b, "_lookup")
         for a in lefts + lefts:
             assert compose(a, b) == PartialInjection(b.n, plain_product(a, b))
             assert b._lookup == dict(b.pairs)
@@ -253,16 +254,24 @@ class TestCompose:
         fresh = PartialInjection(b.n, b.pairs)
         json_before = to_json(b)
         compose(lefts[0], b)
-        assert b._lookup is not None and fresh._lookup is None
+        assert b._lookup == dict(b.pairs) and not hasattr(fresh, "_lookup")
         assert b == fresh and fresh == b
         assert hash(b) == hash(fresh)
         assert repr(b) == repr(fresh)
         assert to_json(b) == json_before == to_json(fresh)
-        assert [name for name in vars(b) if name != "_lookup"] == ["n", "pairs"]
+        assert_fields_are_n_and_pairs(b, fresh.n, fresh.pairs)
         with pytest.raises(MismatchedChain):
             compose(PartialInjection(b.n + 1, lefts[0].pairs), b)
         with pytest.raises(MismatchedChain):
             compose(b, PartialInjection(b.n + 1))
+
+
+def assert_fields_are_n_and_pairs(value, n, pairs):
+    # a value's fields are exactly n and pairs: the memo slot is not one,
+    # and there is no per-instance dict to hold anything else
+    assert type(value).__slots__ == ("n", "pairs", "_lookup")
+    assert not hasattr(value, "__dict__")
+    assert (value.n, value.pairs) == (n, pairs)
 
 
 def assert_is_validated_transpose(a):
@@ -274,7 +283,7 @@ def assert_is_validated_transpose(a):
     assert (b.n, b.pairs) == (reference.n, reference.pairs)
     assert b == reference and reference == b
     assert hash(b) == hash(reference)
-    assert vars(b) == {"n": reference.n, "pairs": reference.pairs}
+    assert_fields_are_n_and_pairs(b, reference.n, reference.pairs)
     with pytest.raises(AttributeError):
         b.pairs = ()
 
@@ -451,8 +460,9 @@ class TestRandomised:
 
     @given(map_triples())
     def test_compose_result_keeps_the_value_contract(self, triple):
-        # compose builds its result inline, not through the constructor; it
-        # must still read, hash and refuse mutation like a constructed value
+        # compose builds its result through _trusted, not the constructor;
+        # it must still read, hash and refuse mutation like a constructed
+        # value
         a, b, _ = triple
         c = compose(a, b)
         rebuilt = PartialInjection(c.n, c.pairs)
@@ -464,11 +474,11 @@ class TestRandomised:
             c.pairs = ()
         with pytest.raises(AttributeError):
             del c.pairs
-        assert vars(c) == {"n": a.n, "pairs": c.pairs}
+        assert_fields_are_n_and_pairs(c, a.n, rebuilt.pairs)
         # the right-factor memo appears only once c is a right factor
-        assert c._lookup is None
+        assert not hasattr(c, "_lookup")
         compose(c, a)
-        assert c._lookup is None
+        assert not hasattr(c, "_lookup")
         compose(a, c)
         assert c._lookup == dict(c.pairs)
 

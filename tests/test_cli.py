@@ -908,6 +908,23 @@ class TestStructure:
         assert entry["categorical"]["holds"] is False
         assert entry["categorical"]["witness"]["kind"] == "not_categorical"
 
+    @pytest.mark.parametrize("p", ["0", "9"])
+    def test_bad_rees_p_is_refused_before_the_table(self, capsys, monkeypatch, p):
+        # dp n = 8 has 1,435 elements; a bad p must not cost their table
+        def refuse(elements):
+            raise AssertionError("build_table called")
+
+        monkeypatch.setattr(cli, "build_table", refuse)
+        code = main(["structure", "--n", "8", "--family", "dp", "--rees-p", p])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: need int 1 <= p <= n, got p={p}, n=8\n"
+
+    def test_bad_n_is_reported_before_a_bad_rees_p(self, capsys):
+        code = main(["structure", "--n", "-1", "--family", "dp", "--rees-p", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: chain size must be a non-negative int, got -1\n"
+
     def test_no_cap_flag(self, capsys):
         # structure always builds a table, and the table cap refuses dp from
         # n = 9, so an enumeration cap could only make a run refuse

@@ -110,6 +110,31 @@ def test_every_definition_has_a_caller():
     assert not missing, f"no caller: {missing}"
 
 
+def _new_sites(tree, scope="<module>"):
+    """The innermost enclosing function of each ``....__new__(...)`` call in
+    ``tree`` that names ``PartialInjection``: a value built without
+    ``__init__``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = node.name if isinstance(node, ast.FunctionDef) else scope
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                and any(isinstance(name, ast.Name) and name.id == "PartialInjection"
+                        for name in [node.func.value, *node.args])):
+            yield scope
+        yield from _new_sites(node, inner)
+
+
+def test_values_are_built_without_init_only_by_trusted():
+    # every value gets its fields from the slot setters, in __init__ or in
+    # _trusted; no module stores them through a __dict__
+    sites = []
+    for path in sorted(Path(chainisom.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert "__dict__" not in source, path.name
+        sites += [f"{path.stem}.{scope}" for scope in _new_sites(ast.parse(source))]
+    assert sites == ["chain_maps._trusted"]
+
+
 def test_reachability_names_a_definition_with_no_caller(monkeypatch):
     def orphan():
         return None

@@ -835,6 +835,23 @@ class TestCategorical:
         with pytest.raises(DomainError):
             replay_witness(tab, Witness("nonsense", (0,)))
 
+    @pytest.mark.parametrize(
+        "witness",
+        [
+            Witness("not_categorical", (99, 0, 0)),  # index past the table
+            Witness("not_0_E_unitary", (1,)),  # one index short
+            Witness("not_0_E_unitary", (1.0, 2)),  # a float index
+            Witness("not_categorical", (-1, 0, 0)),  # would read the last row
+        ],
+        ids=["past-the-end", "short", "float", "negative"],
+    )
+    def test_malformed_witness_is_refused(self, witness):
+        tab = table(2, Family.DP)
+        with pytest.raises(DomainError):
+            replay_witness(tab, witness)
+        with pytest.raises(DomainError):
+            witness_to_json(tab, witness)
+
 
 class TestReesQuotient:
     def test_sizes(self):

@@ -1,9 +1,13 @@
 """The value contract of the three record types: an exact repr, read-only
-attributes, equality only within the class, and equal values hashing alike."""
+attributes, equality only within the class, equal values hashing alike, and
+copies and pickle round trips that give an equal value."""
+
+import copy
+import pickle
 
 import pytest
 
-from chainisom import CountTable, Family, PartialInjection, Witness
+from chainisom import CountTable, Family, PartialInjection, Witness, compose, inverse
 
 # (value, an equal value built separately, its repr, one of its fields, a
 # plain tuple holding the same items)
@@ -59,6 +63,21 @@ class TestValueContract:
         with pytest.raises(AttributeError):
             delattr(value, field)
         assert getattr(value, field) is before and value == twin
+
+    def test_copies_and_pickle_round_trips_are_equal(self, value, twin, text, field, items):
+        values = [value]
+        if isinstance(value, PartialInjection):
+            # a product whose right-factor memo is set, and an inverse: both
+            # are built without the constructor
+            product = compose(value, inverse(value))
+            compose(value, product)
+            assert product.pairs and product._lookup == dict(product.pairs)
+            values += [product, inverse(value)]
+        for v in values:
+            for same in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(same) is type(v)
+                assert same == v and hash(same) == hash(v)
+                assert repr(same) == repr(v)
 
 
 def test_records_differing_in_one_field_are_unequal():
