@@ -141,15 +141,16 @@ def dichotomy(n):
     return _first_failing_dp_map(n, ok)
 
 
-def _first_difference(fast, oracle):
-    """The first index where two element lists differ, with each side's
-    element (``None`` where that list has ended); ``None`` when equal."""
-    for i, (a, b) in enumerate(zip_longest(fast, oracle)):
+def _first_difference(keys, xs, ys, write):
+    """The first index where two lists differ, and each side's item as
+    ``write`` gives it (``None`` past its end), under ``keys``; or ``None``."""
+    for i, (a, b) in enumerate(zip_longest(xs, ys)):
         if a != b:
+            at, left, right = keys
             return {
-                "index": i,
-                "fast": None if a is None else to_json(a),
-                "oracle": None if b is None else to_json(b),
+                at: i,
+                left: None if a is None else write(a),
+                right: None if b is None else write(b),
             }
     return None
 
@@ -157,7 +158,8 @@ def _first_difference(fast, oracle):
 def oracle_equivalence(n):
     for fam in FAMILIES:
         witness = _first_difference(
-            list(enumerate_fast(n, fam)), list(enumerate_oracle(n, fam))
+            ("index", "fast", "oracle"),
+            list(enumerate_fast(n, fam)), list(enumerate_oracle(n, fam)), to_json,
         )
         yield {"n": n, "family": fam.value}, witness is None, witness
 
@@ -208,26 +210,20 @@ def _first_split_pair(elements, criterion, oracle):
     compared in the order listed, put in one class and split, with both
     elements and the route that joins them; ``None`` when none is found.
 
-    Classes are listed by their smallest members, so the k-th class of
-    either route is the class of the smallest index m that no earlier class
-    holds, and the oracle's k-th block holds m.  At the first k where the
-    blocks differ, the pair is m and the least index j that the
-    criterion's k-th block holds and the oracle's does not; failing one,
-    the least j other than m that the oracle's holds and the criterion's
-    does not; failing that too, where the criterion's block is the
-    oracle's without m, the least j it holds.  A class with a wrong member,
-    a missing member or a place out of order each give a pair.
+    The k-th class of either route is the class of the least index m that
+    no earlier class holds.  At the first k where the blocks differ, j is
+    the least member of the criterion's k-th block not in the oracle's, or
+    failing that, of the oracle's not in the criterion's blocks holding m
+    (not m, when none does).
     """
     for block_c, block_o in zip(criterion, oracle):
         if block_c != block_o:
             break
     else:
         return None
-    m = block_o[0]
-    with_c, with_o = set(block_c), set(block_o)
-    others = (with_c - with_o) or (with_o - with_c - {m})
-    if not others and m not in with_c:
-        others = with_c
+    m, with_o = block_o[0], set(block_o)
+    with_m = {x for block in criterion if m in block for x in block} or {m}
+    others = (set(block_c) - with_o) or (with_o - with_m)
     if not others:
         return None
     j = min(others)
@@ -235,6 +231,30 @@ def _first_split_pair(elements, criterion, oracle):
         "elements": [{"index": x, **to_json(elements[x])} for x in sorted((m, j))],
         "joined_by": "oracle" if j in with_o else "criterion",
     }
+
+
+def _greens_disagreement(elements, index, count, classes, oracle):
+    """The first of: a criterion member outside the table, the split pair,
+    the first class the routes list differently, a wrong count; or ``None``."""
+    try:
+        # each member's table index, the blocks kept in the order given
+        criterion = tuple(
+            tuple(index[tuple(zip(dom, img))] for dom, img in block)
+            for block in classes
+        )
+    except KeyError as missing:
+        # written as to_json writes a map; every element has the one n
+        outside = {"n": elements[0].n, "map": [[x, y] for x, y in missing.args[0]]}
+        return {"not_in_table": outside}
+
+    def write(block):
+        return [{"index": x, **to_json(elements[x])} for x in block]
+
+    return (
+        _first_split_pair(elements, criterion, oracle)
+        or _first_difference(("class", "criterion", "oracle"), criterion, oracle, write)
+        or (None if count == len(oracle) else {"count": count, "classes": len(oracle)})
+    )
 
 
 def greens(n):
@@ -245,17 +265,10 @@ def greens(n):
         index = {el.pairs: i for i, el in enumerate(table.elements)}
         for rel in RELATIONS:
             count, classes = greens_classes_criterion(n, fam, rel)
-            # each member's table index, the blocks kept in the order given
-            criterion = tuple(
-                tuple(index[tuple(zip(dom, img))] for dom, img in block)
-                for block in classes
+            witness = _greens_disagreement(
+                table.elements, index, count, classes, oracle[rel]
             )
-            same = count == len(oracle[rel]) and criterion == oracle[rel]
-            witness = (
-                None if same
-                else _first_split_pair(table.elements, criterion, oracle[rel])
-            )
-            yield {"n": n, "family": fam.value, "relation": rel}, same, witness
+            yield {"n": n, "family": fam.value, "relation": rel}, witness is None, witness
 
 
 def eunitary(n):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .chain_maps import PartialInjection, inverse
+from .chain_maps import PartialInjection
 from .errors import DomainError
 from .isometry_families import (
     CountTable,
@@ -191,10 +191,10 @@ def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:
     x -> x + t.  With s = max domain point and w = max image point
     (so t = w - s), the extension adjoins:
 
-    * (n, n)      when s == w, keeping a partial identity a partial identity;
-    * (n, n-s+w)  when s > w, continuing the downward translation;
-    * (n-w+s, n)  when s < w, obtained by inverting, applying the previous
-      case, and inverting back.
+    * (n, n-s+w)  when s >= w, continuing the translation; for a partial
+      identity, s == w, this is (n, n);
+    * (n-w+s, n)  when s < w.  As w <= n-1, n-w+s > s, so the new pair
+      sorts last and the map stays a translation.
 
     Restricted to inputs of height p-1 this is a bijection onto the height-p
     members of the n-chain whose domain or image contains n.
@@ -207,11 +207,9 @@ def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:
         raise DomainError("input must be an order-preserving partial isometry")
     # a is order-preserving (checked above), so its last pair is (s, w)
     s, w = a.pairs[-1]
-    if s == w:
-        return PartialInjection(n, a.pairs + ((n, n),))
-    if s > w:
+    if s >= w:
         return PartialInjection(n, a.pairs + ((n, n - s + w),))
-    return inverse(phi_bijection(inverse(a), n))
+    return PartialInjection(n, a.pairs + ((n - w + s, n),))
 
 
 def phi_bijection_report(n: int, p: int) -> dict[str, bool]:

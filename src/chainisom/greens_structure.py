@@ -67,14 +67,13 @@ RELATIONS = ("R", "L", "H", "D")
 # Partitions
 
 def _partition_from_keys(keys) -> tuple[tuple[int, ...], ...]:
-    """Group indices by equal key.  Blocks are sorted and listed by their
-    smallest member, so two partitions are equal exactly when the tuples are."""
+    """Group indices by equal key, in insertion order.  Indices arrive
+    increasing, so blocks are sorted and listed by their smallest members,
+    and two partitions are equal exactly when the tuples are."""
     blocks = defaultdict(list)
     for i, key in enumerate(keys):
         blocks[key].append(i)
-    return tuple(
-        tuple(block) for block in sorted(blocks.values(), key=lambda b: b[0])
-    )
+    return tuple(tuple(block) for block in blocks.values())
 
 
 def greens_classes_criterion(
@@ -465,24 +464,27 @@ _WITNESS_ARITY = {"not_0_E_unitary": 2, "not_categorical": 3}
 
 
 def _witness_elements(table: SemigroupTable, witness: Witness) -> tuple:
-    """``witness.elements``, once they are as many indices of ``table`` as its kind fixes."""
-    els, k = witness.elements, len(table)
-    if (type(els) is not tuple or len(els) != _WITNESS_ARITY.get(witness.kind)
-            or not all(type(i) is int and 0 <= i < k for i in els)):
+    """``witness.elements``, once ``witness`` is a :class:`Witness` and they
+    are as many indices of ``table`` as its kind fixes."""
+    k = len(table)
+    if (not isinstance(witness, Witness) or type(witness.elements) is not tuple
+            or len(witness.elements) != _WITNESS_ARITY.get(witness.kind)
+            or not all(type(i) is int and 0 <= i < k for i in witness.elements)):
         raise DomainError(f"malformed witness for a table on 0..{k - 1}: {witness!r}")
-    return els
+    return witness.elements
 
 
 def replay_witness(table: SemigroupTable, witness: Witness) -> bool:
     """Re-run the witness products; True when the violation reproduces."""
     z = _require_zero(table)
+    els = _witness_elements(table, witness)
     mult = table.mult
     if witness.kind == "not_0_E_unitary":
-        e, s = _witness_elements(table, witness)
+        e, s = els
         idem = idempotents(table)
         es = mult[e][s]
         return e in idem and e != z and es in idem and es != z and s not in idem
-    a, b, c = _witness_elements(table, witness)
+    a, b, c = els
     ab = mult[a][b]
     return ab != z and mult[b][c] != z and mult[ab][c] == z
 
@@ -533,10 +535,10 @@ def witness_to_json(table: SemigroupTable, witness: Witness | None) -> dict | No
     A malformed witness raises :class:`DomainError`."""
     if witness is None:
         return None
+    els = _witness_elements(table, witness)
     return {
         "kind": witness.kind,
         "elements": [
-            {"index": i, **to_json(table.elements[i])}
-            for i in _witness_elements(table, witness)
+            {"index": i, **to_json(table.elements[i])} for i in els
         ],
     }

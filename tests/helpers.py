@@ -18,6 +18,7 @@ from chainisom import (
     compose,
     enumerate_fast,
     greens_classes_criterion,
+    inverse,
     is_member,
 )
 from chainisom.checks import Check
@@ -108,6 +109,20 @@ def first_product_outside_all_pairs(elements, family):
             if not ok:
                 return a, b
     return None
+
+
+def phi_reference(a: PartialInjection, n: int) -> PartialInjection:
+    """The paper's three-case phi on a nonempty order-preserving member of
+    the (n-1)-chain, with s and w its largest domain and image points: it
+    adjoins (n, n) when s = w and (n, n - s + w) when s > w, and when s < w
+    it inverts, applies the s > w case and inverts back.  The reference for
+    ``closed_forms.phi_bijection``, which adjoins the new pair in one step."""
+    s, w = a.pairs[-1]
+    if s == w:
+        return PartialInjection(n, a.pairs + ((n, n),))
+    if s > w:
+        return PartialInjection(n, a.pairs + ((n, n - s + w),))
+    return inverse(phi_reference(inverse(a), n))
 
 
 def criterion_partition_reference(elements, family, relation):

@@ -22,9 +22,10 @@ from chainisom import (
     recurrence_check,
     verify_sum_identity,
 )
-from chainisom import PartialInjection
+from chainisom import PartialInjection, closed_forms
 from chainisom.closed_forms import CLOSED_FORMS
 from chainisom.isometry_families import STATISTICS
+from helpers import phi_reference
 
 BOTH = (Family.DP, Family.ODP)
 
@@ -321,6 +322,29 @@ class TestPhiBijection:
     def test_upward_translation_case(self):
         a = PartialInjection(3, [(1, 2), (2, 3)])
         assert phi_bijection(a, 4) == PartialInjection(4, [(1, 2), (2, 3), (3, 4)])
+
+    def test_matches_the_three_case_reference_up_to_12(self):
+        for n in range(2, 13):
+            for a in enumerate_fast(n - 1, Family.ODP):
+                if not a.is_empty:
+                    assert phi_bijection(a, n) == phi_reference(a, n), (a, n)
+
+    def test_checks_membership_once_per_input(self, monkeypatch):
+        calls = []
+        real = closed_forms.is_member
+
+        def counting(a, family):
+            calls.append(a)
+            return real(a, family)
+
+        monkeypatch.setattr(closed_forms, "is_member", counting)
+        inputs = [a for a in enumerate_fast(5, Family.ODP) if not a.is_empty]
+        # the upward translations, s < w, are among the inputs
+        assert any(s < w for s, w in (a.pairs[-1] for a in inputs))
+        for a in inputs:
+            calls.clear()
+            phi_bijection(a, 6)
+            assert calls == [a]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

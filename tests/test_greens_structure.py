@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -26,6 +27,7 @@ from chainisom import (
     is_inverse,
     is_zero_e_unitary,
     replay_witness,
+    to_json,
     witness_to_json,
 )
 from chainisom import checks, cli, greens_structure, order_odp
@@ -292,19 +294,23 @@ class TestPartitionShape:
                 assert_well_formed(oracle[rel], len(tab))
 
 
-def seeded_greens_failures(monkeypatch, capsys, fault):
+def seeded_greens_failures(monkeypatch, capsys, fault, recount=lambda rel, count: count):
     """Run ``verify --check greens`` on the 3-chain with the criterion
-    route's classes passed through ``fault(relation, classes)``.  Returns
-    the failing instances as (family, relation, joined_by, (i, a), (j, b)),
-    after checking that each witness is a split pair: the k-th class of
-    either route is the class of the least index no earlier class holds,
-    and at the first k where the blocks differ, that index i and j are in
-    i's class in one route and in different blocks of the other."""
+    route's classes passed through ``fault(relation, classes)`` and its
+    count through ``recount(relation, count)``.  Returns the failing
+    instances, each with its witness replayed against the faulty route: a
+    split pair as (family, relation, joined_by, (i, a), (j, b)), any other
+    witness as (family, relation, witness).
+
+    A split pair is checked as such: the k-th class of either route is the
+    class of the least index no earlier class holds, and at the first k
+    where the blocks differ, i is that index, j is in the k-th block of the
+    route that joins them, and no block of the other route holds both."""
     real = checks.greens_classes_criterion
 
     def faulty(n, fam, rel):
         count, classes = real(n, fam, rel)
-        return count, iter(fault(rel, list(classes)))
+        return recount(rel, count), iter(fault(rel, list(classes)))
 
     monkeypatch.setattr(checks, "greens_classes_criterion", faulty)
     assert cli.main(["verify", "--check", "greens", "--n-range", "3..3",
@@ -317,13 +323,41 @@ def seeded_greens_failures(monkeypatch, capsys, fault):
         fam, rel = Family(inst["params"]["family"]), inst["params"]["relation"]
         tab = table(3, fam)
         witness = inst["witness"]
+        orc = greens_classes_oracle(tab)[rel]
+        if "not_in_table" in witness:
+            # a member of a faulty class that no table element is
+            outside = witness["not_in_table"]
+            pairs = tuple(tuple(pair) for pair in outside["map"])
+            assert outside["n"] == 3
+            assert pairs not in {a.pairs for a in tab.elements}
+            assert any(tuple(zip(dom, img)) == pairs
+                       for block in faulty(3, fam, rel)[1] for dom, img in block)
+            failing.append((fam.value, rel, witness))
+            continue
+        count, crit = criterion_blocks(3, fam, rel, route=faulty)
+        if "class" in witness:
+            # the first place where the two listings differ, as listed
+            k = witness["class"]
+            assert crit[:k] == orc[:k]
+            sides = list(zip_longest(crit, orc))[k]
+            assert sides[0] != sides[1]
+            written = [None if block is None else
+                       [{"index": x, **to_json(tab.elements[x])} for x in block]
+                       for block in sides]
+            assert written == [witness["criterion"], witness["oracle"]]
+            failing.append((fam.value, rel, witness))
+            continue
+        if "count" in witness:
+            assert crit == orc
+            assert witness == {"count": count, "classes": len(orc)}
+            assert count != len(orc)
+            failing.append((fam.value, rel, witness))
+            continue
         (i, a), (j, b) = ((e["index"], from_json(e)) for e in witness["elements"])
         assert i < j and (tab.elements[i], tab.elements[j]) == (a, b)
-        _, crit = criterion_blocks(3, fam, rel, route=faulty)
-        orc = greens_classes_oracle(tab)[rel]
         k = next(k for k, (x, y) in enumerate(zip(crit, orc)) if x != y)
         joined, split = (crit, orc) if witness["joined_by"] == "criterion" else (orc, crit)
-        assert i == orc[k][0] and j in joined[k] and j not in split[k]
+        assert i == orc[k][0] and j in joined[k]
         assert not any(i in block and j in block for block in split)
         failing.append((fam.value, rel, witness["joined_by"], (i, a), (j, b)))
     return failing
@@ -380,6 +414,82 @@ class TestOracleAgreement:
             assert joined_by == "criterion"
             assert (i, j) == (crit_d[1][0], crit_d[2][0])
             assert (a.height, b.height) == (1, 2)
+
+    def test_greens_check_witnesses_a_member_outside_the_table(self, monkeypatch, capsys):
+        # a map off the 3-chain has no table index
+        def extend(rel, blocks):
+            if rel == "R":
+                blocks[1] = blocks[1] + [((1,), (9,))]
+            return blocks
+
+        failing = seeded_greens_failures(monkeypatch, capsys, extend)
+        outside = {"not_in_table": {"n": 3, "map": [[1, 9]]}}
+        assert failing == [("dp", "R", outside), ("odp", "R", outside)]
+
+    def test_greens_check_witnesses_a_wrong_count(self, monkeypatch, capsys):
+        failing = seeded_greens_failures(
+            monkeypatch, capsys, lambda rel, blocks: blocks,
+            recount=lambda rel, count: count + (rel == "D"),
+        )
+        sizes = {fam: len(greens_classes_oracle(table(3, fam))["D"]) for fam in BOTH}
+        assert failing == [
+            (fam.value, "D", {"count": sizes[fam] + 1, "classes": sizes[fam]})
+            for fam in BOTH
+        ]
+
+    def test_greens_check_witnesses_a_dropped_class(self, monkeypatch, capsys):
+        def drop(rel, blocks):
+            return blocks[:-1] if rel == "R" else blocks
+
+        failing = seeded_greens_failures(monkeypatch, capsys, drop)
+        assert [(fam, rel) for fam, rel, _ in failing] == [("dp", "R"), ("odp", "R")]
+        for fam, _, witness in failing:
+            orc_r = greens_classes_oracle(table(3, Family(fam)))["R"]
+            assert witness["class"] == len(orc_r) - 1
+            assert witness["criterion"] is None
+            assert [e["index"] for e in witness["oracle"]] == list(orc_r[-1])
+
+    def test_greens_check_witnesses_a_member_listed_twice(self, monkeypatch, capsys):
+        # the first L-class is the empty map's, at index 0
+        def repeat(rel, blocks):
+            return [blocks[0][:1] + blocks[0]] + blocks[1:] if rel == "L" else blocks
+
+        failing = seeded_greens_failures(monkeypatch, capsys, repeat)
+        empty = {"index": 0, "n": 3, "map": []}
+        listed = {"class": 0, "criterion": [empty, empty], "oracle": [empty]}
+        assert failing == [("dp", "L", listed), ("odp", "L", listed)]
+
+    def test_greens_check_witnesses_members_out_of_order(self, monkeypatch, capsys):
+        # odp's H-classes are single maps, so only dp's reversed pairs show
+        def reverse(rel, blocks):
+            return [block[::-1] for block in blocks] if rel == "H" else blocks
+
+        failing = seeded_greens_failures(monkeypatch, capsys, reverse)
+        assert [(fam, rel) for fam, rel, _ in failing] == [("dp", "H")]
+        witness = failing[0][2]
+        orc_h = greens_classes_oracle(table(3, Family.DP))["H"]
+        k = next(k for k, block in enumerate(orc_h) if len(block) > 1)
+        assert witness["class"] == k
+        assert witness["criterion"] == witness["oracle"][::-1]
+
+    def test_greens_check_witnesses_a_class_split_off_its_second_member(
+        self, monkeypatch, capsys
+    ):
+        # the first D-class of three or more, listed as its second member
+        # alone and then the rest: the rest holds the least member m and
+        # the third, so the pair is m and the second member
+        def split_off(rel, blocks):
+            if rel != "D":
+                return blocks
+            k = next(k for k, block in enumerate(blocks) if len(block) >= 3)
+            first, second, *rest = blocks[k]
+            return blocks[:k] + [[second], [first, *rest]] + blocks[k + 1:]
+
+        failing = seeded_greens_failures(monkeypatch, capsys, split_off)
+        assert [(fam, rel, joined_by, i, j)
+                for fam, rel, joined_by, (i, _), (j, _) in failing] == [
+            ("dp", "D", "oracle", 1, 2), ("odp", "D", "oracle", 1, 2)
+        ]
 
     def test_split_pair_of_a_class_listed_without_its_least_member(self):
         els = table(3, Family.DP).elements
@@ -842,8 +952,11 @@ class TestCategorical:
             Witness("not_0_E_unitary", (1,)),  # one index short
             Witness("not_0_E_unitary", (1.0, 2)),  # a float index
             Witness("not_categorical", (-1, 0, 0)),  # would read the last row
+            ("not_categorical", (0, 0, 0)),  # a plain tuple
+            {"kind": "not_categorical", "elements": (0, 0, 0)},
+            "junk",
         ],
-        ids=["past-the-end", "short", "float", "negative"],
+        ids=["past-the-end", "short", "float", "negative", "tuple", "dict", "str"],
     )
     def test_malformed_witness_is_refused(self, witness):
         tab = table(2, Family.DP)
