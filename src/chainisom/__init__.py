@@ -48,7 +48,6 @@ from .errors import (
 )
 from .greens_structure import (
     SemigroupTable,
-    Witness,
     build_rees_quotient,
     build_table,
     greens_classes_criterion,
@@ -58,7 +57,6 @@ from .greens_structure import (
     is_inverse,
     is_zero_e_unitary,
     replay_witness,
-    witness_to_json,
 )
 from .isometry_families import (
     CountTable,

@@ -35,6 +35,7 @@ from .errors import ChainIsomError, DomainError
 from .greens_structure import (
     RELATIONS,
     _greedy_generators,
+    _indexed_member,
     build_rees_quotient,
     build_table,
     greens_classes_criterion,
@@ -43,7 +44,6 @@ from .greens_structure import (
     is_inverse,
     is_zero_e_unitary,
     replay_witness,
-    witness_to_json,
 )
 from .isometry_families import (
     Family,
@@ -228,7 +228,7 @@ def _first_split_pair(elements, criterion, oracle):
         return None
     j = min(others)
     return {
-        "elements": [{"index": x, **to_json(elements[x])} for x in sorted((m, j))],
+        "elements": [_indexed_member(elements, x) for x in sorted((m, j))],
         "joined_by": "oracle" if j in with_o else "criterion",
     }
 
@@ -248,7 +248,7 @@ def _greens_disagreement(elements, index, count, classes, oracle):
         return {"not_in_table": outside}
 
     def write(block):
-        return [{"index": x, **to_json(elements[x])} for x in block]
+        return [_indexed_member(elements, x) for x in block]
 
     return (
         _first_split_pair(elements, criterion, oracle)
@@ -280,7 +280,7 @@ def eunitary(n):
             ok = holds
         else:
             ok = not holds and replay_witness(table, witness)
-        yield {"n": n, "family": fam.value}, ok, witness_to_json(table, witness)
+        yield {"n": n, "family": fam.value}, ok, witness
 
 
 def categorical(n):
@@ -288,12 +288,12 @@ def categorical(n):
     holds, witness = is_categorical(table)
     # categorical only while no three-factor product can vanish: n <= 1
     ok = holds if n <= 1 else (not holds and replay_witness(table, witness))
-    yield {"n": n, "semigroup": "odp"}, ok, witness_to_json(table, witness)
+    yield {"n": n, "semigroup": "odp"}, ok, witness
     for p in range(1, n + 1):
         table = build_rees_quotient(n, p)
         holds, witness = is_categorical(table)
         params = {"n": n, "semigroup": "rees", "p": p}
-        yield params, holds, witness_to_json(table, witness)
+        yield params, holds, witness
 
 
 def _rees_failure(table):
@@ -310,7 +310,7 @@ def _rees_failure(table):
     ):
         holds, witness = predicate(table)
         if not holds:
-            return {"property": name, "witness": witness_to_json(table, witness)}
+            return {"property": name, "witness": witness}
     return None
 
 

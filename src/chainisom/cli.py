@@ -26,7 +26,6 @@ from .greens_structure import (
     is_categorical,
     is_inverse,
     is_zero_e_unitary,
-    witness_to_json,
 )
 from .isometry_families import (
     DEFAULT_ENUMERATION_CAP,
@@ -131,11 +130,11 @@ def _structure_summary(table, name: str) -> dict:
         "inverse": is_inverse(table),
         "zero_e_unitary": {
             "holds": holds_u,
-            "witness": witness_to_json(table, wit_u),
+            "witness": wit_u,
         },
         "categorical": {
             "holds": holds_c,
-            "witness": witness_to_json(table, wit_c),
+            "witness": wit_c,
         },
     }
 

@@ -33,9 +33,9 @@ one and reruns are reproducible.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import defaultdict
 from collections.abc import Iterator
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from operator import itemgetter
 
 from .chain_maps import PartialInjection, compose, to_json
@@ -226,9 +226,12 @@ class SemigroupTable:
         if len(self.mult) != k or any(len(row) != k for row in self.mult):
             raise DomainError("multiplication table must be square over the elements")
         # every entry must index an element: the predicates use entries as
-        # row indices, where -1 would silently read the last row
-        if k and not (min(map(min, self.mult)) >= 0 and max(map(max, self.mult)) < k):
-            raise DomainError(f"multiplication table entries must lie in 0..{k - 1}")
+        # row indices, where -1 would silently read the last row, and 1.0
+        # cannot index a row while True would pass for 1
+        if k and not (set(map(type, chain.from_iterable(self.mult))) == {int}
+                      and min(map(min, self.mult)) >= 0
+                      and max(map(max, self.mult)) < k):
+            raise DomainError(f"multiplication table entries must be ints in 0..{k - 1}")
         if zero_index is not None:
             # exact type: 1.0 cannot index a row, and True would pass for 1
             if type(zero_index) is not int or not 0 <= zero_index < k:
@@ -398,34 +401,30 @@ def is_inverse(table: SemigroupTable) -> bool:
     )
 
 
-class Witness(namedtuple("Witness", "kind elements")):
-    """A minimal element tuple certifying a structural failure.
-
-    ``kind`` names the violated property and ``elements`` holds table
-    indices; :func:`replay_witness` re-runs the defining products and
-    confirms the violation.  A witness equals only another witness.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
 def _require_zero(table: SemigroupTable) -> int:
     if table.zero_index is None:
         raise NoZero("this check needs a marked zero element")
     return table.zero_index
 
 
+def _indexed_member(elements, i) -> dict:
+    """Element i as every witness writes a table member: its index and its
+    :func:`to_json` form."""
+    return {"index": i, **to_json(elements[i])}
+
+
+def _witness(table: SemigroupTable, kind: str, indices) -> dict:
+    return {
+        "kind": kind,
+        "elements": [_indexed_member(table.elements, i) for i in indices],
+    }
+
+
 def is_zero_e_unitary(table: SemigroupTable):
     """Nonzero idempotent times s landing on a nonzero idempotent forces s
-    idempotent.  Returns (True, None) or (False, first witness (e, s))."""
+    idempotent.  Returns (True, None) or (False, the first witness (e, s)),
+    written ``{"kind": "not_0_E_unitary", "elements": [...]}`` with each
+    member as ``{"index", "n", "map"}``."""
     z = _require_zero(table)
     mult = table.mult
     idem = idempotents(table)
@@ -436,13 +435,14 @@ def is_zero_e_unitary(table: SemigroupTable):
         for s in range(len(table)):
             es = row[s]
             if es != z and es in idem and s not in idem:
-                return False, Witness("not_0_E_unitary", (e, s))
+                return False, _witness(table, "not_0_E_unitary", (e, s))
     return True, None
 
 
 def is_categorical(table: SemigroupTable):
     """abc = 0 implies ab = 0 or bc = 0.  Returns (True, None) or
-    (False, first witness (a, b, c))."""
+    (False, the first witness (a, b, c)), written as by
+    :func:`is_zero_e_unitary` with the kind ``not_categorical``."""
     z = _require_zero(table)
     mult = table.mult
     k = len(table)
@@ -456,30 +456,47 @@ def is_categorical(table: SemigroupTable):
             row_b = mult[b]
             for c in range(k):
                 if row_ab[c] == z and row_b[c] != z:
-                    return False, Witness("not_categorical", (a, b, c))
+                    return False, _witness(table, "not_categorical", (a, b, c))
     return True, None
 
 
 _WITNESS_ARITY = {"not_0_E_unitary": 2, "not_categorical": 3}
 
 
-def _witness_elements(table: SemigroupTable, witness: Witness) -> tuple:
-    """``witness.elements``, once ``witness`` is a :class:`Witness` and they
-    are as many indices of ``table`` as its kind fixes."""
+def _witness_indices(table: SemigroupTable, witness) -> list[int]:
+    """The indices ``witness`` names, once it is exactly what the predicates
+    write for them on ``table``; :class:`DomainError` otherwise, so that a
+    witness written for another table is refused."""
     k = len(table)
-    if (not isinstance(witness, Witness) or type(witness.elements) is not tuple
-            or len(witness.elements) != _WITNESS_ARITY.get(witness.kind)
-            or not all(type(i) is int and 0 <= i < k for i in witness.elements)):
-        raise DomainError(f"malformed witness for a table on 0..{k - 1}: {witness!r}")
-    return witness.elements
+    fields = witness if isinstance(witness, dict) else {}
+    kind, members = fields.get("kind"), fields.get("elements")
+    # each test guards the next: the kind's type before the lookup, and the
+    # count and the index types before the witness is written again
+    if (type(kind) is not str or kind not in _WITNESS_ARITY
+            or type(members) is not list or len(members) != _WITNESS_ARITY[kind]
+            or not all(isinstance(m, dict) and type(m.get("index")) is int
+                       and 0 <= m["index"] < k for m in members)
+            or witness != _witness(table, kind, [m["index"] for m in members])):
+        raise DomainError(f"not a witness for a table on 0..{k - 1}: {witness!r}")
+    return [m["index"] for m in members]
 
 
-def replay_witness(table: SemigroupTable, witness: Witness) -> bool:
-    """Re-run the witness products; True when the violation reproduces."""
+def replay_witness(table: SemigroupTable, witness: dict) -> bool:
+    """Re-run the products of a witness, as the predicates return it and
+    ``verify`` and ``structure`` print it; True when the violation
+    reproduces.
+
+    >>> tab = build_table(enumerate_fast(3, Family.DP))
+    >>> holds, witness = is_zero_e_unitary(tab)
+    >>> holds, [member["map"] for member in witness["elements"]]
+    (False, [[[2, 2]], [[1, 3], [2, 2]]])
+    >>> replay_witness(tab, witness)
+    True
+    """
     z = _require_zero(table)
-    els = _witness_elements(table, witness)
+    els = _witness_indices(table, witness)
     mult = table.mult
-    if witness.kind == "not_0_E_unitary":
+    if witness["kind"] == "not_0_E_unitary":
         e, s = els
         idem = idempotents(table)
         es = mult[e][s]
@@ -525,20 +542,3 @@ def build_rees_quotient(n: int, p: int) -> SemigroupTable:
             row[j] = index[compose(a, b).pairs]
         mult.append(row)
     return SemigroupTable([PartialInjection(n)] + layer, mult, zero_index=0)
-
-
-# ---------------------------------------------------------------------------
-# Exports
-
-def witness_to_json(table: SemigroupTable, witness: Witness | None) -> dict | None:
-    """A witness's JSON form, each element with its index; None for None.
-    A malformed witness raises :class:`DomainError`."""
-    if witness is None:
-        return None
-    els = _witness_elements(table, witness)
-    return {
-        "kind": witness.kind,
-        "elements": [
-            {"index": i, **to_json(table.elements[i])} for i in els
-        ],
-    }

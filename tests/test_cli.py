@@ -20,7 +20,7 @@ from chainisom.chain_maps import (
     to_json,
 )
 from chainisom.cli import COMMANDS, _build_parser, _compact, main
-from chainisom.greens_structure import RELATIONS
+from chainisom.greens_structure import RELATIONS, replay_witness
 from chainisom.isometry_families import Family, enumerate_fast, enumerate_oracle
 
 import helpers
@@ -931,6 +931,47 @@ class TestStructure:
         code, _ = run(capsys, "structure", "--n", "3", "--family", "dp",
                       "--cap", "30")
         assert code == 2
+
+
+class TestPrintedWitnessesReplay:
+    """A table witness replays as printed: on the table it was printed for,
+    and on no other, such as the table for n + 1."""
+
+    @staticmethod
+    def replays_only_on_its_table(n, family, witness):
+        assert replay_witness(table(n, family), witness)
+        with pytest.raises(DomainError):
+            replay_witness(table(n + 1, family), witness)
+
+    @pytest.mark.parametrize(
+        "check, lo, hi, params",
+        [
+            ("eunitary", 3, 5, {"family": "dp"}),
+            ("categorical", 2, 4, {"semigroup": "odp"}),
+        ],
+    )
+    def test_verify(self, capsys, check, lo, hi, params):
+        code, out = run(capsys, "verify", "--check", check,
+                        "--n-range", f"{lo}..{hi}", "--format", "json")
+        assert code == 0
+        printed = {
+            inst["params"]["n"]: inst["witness"]
+            for inst in json.loads(out)["instances"]
+            if inst["params"] == {"n": inst["params"]["n"], **params}
+        }
+        assert sorted(printed) == list(range(lo, hi + 1))
+        family = Family(next(iter(params.values())))
+        for n, witness in printed.items():
+            self.replays_only_on_its_table(n, family, witness)
+
+    def test_structure(self, capsys):
+        code, out = run(capsys, "structure", "--n", "4", "--family", "dp",
+                        "--format", "json")
+        assert code == 0
+        entry = json.loads(out)["structures"][0]
+        for prop in ("zero_e_unitary", "categorical"):
+            assert entry[prop]["holds"] is False
+            self.replays_only_on_its_table(4, Family.DP, entry[prop]["witness"])
 
 
 class TestDeterminism:

@@ -1,4 +1,4 @@
-"""The value contract of the three record types: an exact repr, read-only
+"""The value contract of the two record types: an exact repr, read-only
 attributes, equality only within the class, equal values hashing alike, and
 copies and pickle round trips that give an equal value."""
 
@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from chainisom import CountTable, Family, PartialInjection, Witness, compose, inverse
+from chainisom import CountTable, Family, PartialInjection, compose, inverse
 
 # (value, an equal value built separately, its repr, one of its fields, a
 # plain tuple holding the same items)
@@ -18,13 +18,6 @@ CASES = [
         "PartialInjection(n=3, pairs=((1, 2),))",
         "pairs",
         (3, ((1, 2),)),
-    ),
-    (
-        Witness("not_categorical", (1, 2, 3)),
-        Witness(kind="not_categorical", elements=(1, 2, 3)),
-        "Witness(kind='not_categorical', elements=(1, 2, 3))",
-        "elements",
-        ("not_categorical", (1, 2, 3)),
     ),
     (
         CountTable("height", Family.ODP, ((1,), (1, 1)), (1, 2)),
@@ -81,6 +74,5 @@ class TestValueContract:
 
 
 def test_records_differing_in_one_field_are_unequal():
-    assert Witness("not_categorical", (1, 2, 3)) != Witness("not_0_E_unitary", (1, 2, 3))
     rows = ((1,), (1, 1))
     assert CountTable("height", Family.ODP, rows, (1, 2)) != CountTable("fix", Family.ODP, rows, (1, 2))
