@@ -31,8 +31,6 @@ from .closed_forms import (
     order_odp,
     phi_bijection,
     phi_bijection_report,
-    recurrence_check,
-    verify_sum_identity,
 )
 from .errors import (
     ChainIsomError,
@@ -59,7 +57,6 @@ from .greens_structure import (
     replay_witness,
 )
 from .isometry_families import (
-    CountTable,
     Family,
     count_by,
     empirical_count_table,

@@ -23,15 +23,8 @@ from itertools import zip_longest
 from operator import eq, gt, lt
 
 from .chain_maps import compose, inverse, to_json
-from .closed_forms import (
-    CLOSED_FORMS,
-    _recurrence_terms,
-    _sum_identity_sides,
-    phi_bijection_report,
-    recurrence_check,
-    verify_sum_identity,
-)
-from .errors import ChainIsomError, DomainError
+from .closed_forms import CLOSED_FORM_CAP, CLOSED_FORMS, phi_bijection_report
+from .errors import ChainIsomError, DomainError, LimitExceeded
 from .greens_structure import (
     RELATIONS,
     _greedy_generators,
@@ -174,28 +167,45 @@ def formulas(n):
             yield {"n": n, "family": fam.value, "statistic": stat}, ok, witness
 
 
+def _refuse_above_cap(check, n):
+    # each instance is exact big-integer work that grows with n
+    if n > CLOSED_FORM_CAP:
+        raise LimitExceeded(f"check {check!r} is capped at n={CLOSED_FORM_CAP}, got {n}")
+
+
 def recurrence(n):
+    """F(n;p) = F(n-1;p-1) + F(n-1;p) on the height closed forms of both
+    families, for 3 <= p <= n.
+
+    F(n-1;p) lies past the end of row n-1 when p = n, and is taken as 0
+    there, which makes the boundary instances total.
+    """
+    _refuse_above_cap("recurrence", n)
+    f = CLOSED_FORMS["height"]
     for fam in FAMILIES:
-        bad = next(
-            (p for p in range(3, n + 1) if not recurrence_check(n, p, fam)), None
-        )
         witness = None
-        if bad is not None:
-            whole, left, right = _recurrence_terms(n, bad, fam)
-            witness = {
-                "n": n, "p": bad,
-                "F(n;p)": whole, "F(n-1;p-1)": left, "F(n-1;p)": right,
-            }
-        yield {"n": n, "family": fam.value}, bad is None, witness
+        for p in range(3, n + 1):
+            whole, left = f(fam, n, p), f(fam, n - 1, p - 1)
+            right = f(fam, n - 1, p) if p < n else 0
+            if whole != left + right:
+                witness = {
+                    "n": n, "p": p,
+                    "F(n;p)": whole, "F(n-1;p-1)": left, "F(n-1;p)": right,
+                }
+                break
+        yield {"n": n, "family": fam.value}, witness is None, witness
 
 
 def sum_identity(n):
-    ok = verify_sum_identity(n)
-    witness = None
-    if not ok:
-        lhs, rhs = _sum_identity_sides(n)
-        witness = {"n": n, "lhs": lhs, "rhs": rhs}
-    yield {"n": n}, ok, witness
+    """sum(p = 2..n) F_odp(n;p) = 3 * 2^n - n^2 - 2n - 3 on the odp height
+    closed form: the order 3 * 2^n - 2(n+1) less F_odp(n;0) = 1 and
+    F_odp(n;1) = n^2."""
+    _refuse_above_cap("sum-identity", n)
+    f = CLOSED_FORMS["height"]
+    lhs = sum(f(Family.ODP, n, p) for p in range(2, n + 1))
+    rhs = 3 * 2**n - n * n - 2 * n - 3
+    witness = None if lhs == rhs else {"n": n, "lhs": lhs, "rhs": rhs}
+    yield {"n": n}, witness is None, witness
 
 
 def phi_bijection(n):

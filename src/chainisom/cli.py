@@ -15,7 +15,7 @@ from operator import getitem
 
 from .chain_maps import from_json, to_text
 from .checks import CHECKS, run_check
-from .closed_forms import formula_count_table
+from .closed_forms import CLOSED_FORM_CAP, formula_count_table
 from .errors import ChainIsomError
 from .greens_structure import (
     RELATIONS,
@@ -35,8 +35,6 @@ from .isometry_families import (
     enumerate_fast,
     enumerate_images,
 )
-
-FORMULA_TABLE_CAP = 60
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -89,22 +87,22 @@ def _render_report_text(check: str, instances: list[dict], passed: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_count_table(tbl, fmt: str) -> str:
-    max_n = len(tbl.rows) - 1
+def _render_count_table(family, statistic: str, rows, fmt: str) -> str:
+    max_n = len(rows) - 1
     if fmt == "json":
         payload = {
-            "family": tbl.family.value,
-            "statistic": tbl.statistic,
+            "family": family.value,
+            "statistic": statistic,
             "max_n": max_n,
             "rows": [
-                {"n": n, "counts": list(row), "sum": tbl.row_sums[n]}
-                for n, row in enumerate(tbl.rows)
+                {"n": n, "counts": list(row), "sum": sum(row)}
+                for n, row in enumerate(rows)
             ],
         }
         return _dumps(payload, indent=2) + "\n"
     body = [
-        [str(n), *map(str, row), *[""] * (max_n - n), str(tbl.row_sums[n])]
-        for n, row in enumerate(tbl.rows)
+        [str(n), *map(str, row), *[""] * (max_n - n), str(sum(row))]
+        for n, row in enumerate(rows)
     ]
     if fmt == "csv":
         header = ["n", *(f"k{k}" for k in range(max_n + 1)), "sum"]
@@ -186,14 +184,14 @@ def cmd_enumerate(args) -> int:
 def cmd_table(args) -> int:
     fam = Family(args.family)
     if args.empirical:
-        tbl = empirical_count_table(args.by, fam, args.max_n, cap=args.cap)
+        rows = empirical_count_table(args.by, fam, args.max_n, cap=args.cap)
     else:
-        if args.max_n > FORMULA_TABLE_CAP:
+        if args.max_n > CLOSED_FORM_CAP:
             raise ChainIsomError(
-                f"formula tables are capped at n={FORMULA_TABLE_CAP}, got {args.max_n}"
+                f"formula tables are capped at n={CLOSED_FORM_CAP}, got {args.max_n}"
             )
-        tbl = formula_count_table(args.by, fam, args.max_n)
-    sys.stdout.write(_render_count_table(tbl, args.format))
+        rows = formula_count_table(args.by, fam, args.max_n)
+    sys.stdout.write(_render_count_table(fam, args.by, rows, args.format))
     return EXIT_OK
 
 

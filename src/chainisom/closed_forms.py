@@ -1,10 +1,11 @@
 """Exact counting formulas for both families, by height and by fixed points.
 
-Every function works in exact integer arithmetic (Python integers are
-unbounded, so there is no practical n cap at the library level; the
-command-line table generator enforces one for output sanity).  Divisions
-are checked to be exact and raise ``ArithmeticError`` otherwise, which
-would indicate a broken formula rather than bad input.
+Every function works in exact integer arithmetic.  Python integers are
+unbounded, so the closed forms here take any n.  The CLI's formula tables
+and the ``recurrence`` and ``sum-identity`` checks stop at
+:data:`CLOSED_FORM_CAP`, since their exact big-integer work grows with n.
+Divisions are checked to be exact and raise ``ArithmeticError``
+otherwise, which would indicate a broken formula rather than bad input.
 
 F(n; k) denotes the number of family elements on the chain of size n whose
 statistic (height or fix count) equals k.
@@ -17,7 +18,6 @@ from math import comb
 from .chain_maps import PartialInjection
 from .errors import DomainError
 from .isometry_families import (
-    CountTable,
     Family,
     _check_chain_size,
     _check_family,
@@ -25,6 +25,10 @@ from .isometry_families import (
     enumerate_fast,
     is_member,
 )
+
+# The largest n of the CLI's formula tables and of the recurrence and
+# sum-identity checks.
+CLOSED_FORM_CAP = 60
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -143,46 +147,6 @@ def family_order(family: Family, n: int) -> int:
     return _by_family(family, order_dp, order_odp)(n)
 
 
-def verify_sum_identity(n: int) -> bool:
-    """Check sum(p=2..n) (2n-p+1)/(p+1)*C(n,p) == 3*2^n - n^2 - 2n - 3 exactly."""
-    if type(n) is not int or n < 2:
-        raise DomainError(f"identity needs an int n >= 2, got {n!r}")
-    lhs, rhs = _sum_identity_sides(n)
-    return lhs == rhs
-
-
-def _sum_identity_sides(n: int) -> tuple[int, int]:
-    lhs = sum(_exact_div((2 * n - p + 1) * comb(n, p), p + 1) for p in range(2, n + 1))
-    return lhs, 3 * 2**n - n * n - 2 * n - 3
-
-
-def _f_height_or_zero(family: Family, n: int, p: int) -> int:
-    # read from CLOSED_FORMS, as the formulas check reads it, so that both
-    # checks see a replaced entry
-    return 0 if p > n else CLOSED_FORMS["height"](family, n, p)
-
-
-def recurrence_check(n: int, p: int, family: Family) -> bool:
-    """Check F(n;p) == F(n-1;p-1) + F(n-1;p) on the closed forms, n >= p >= 3.
-
-    F(n-1; p) is taken as 0 when p exceeds n-1, which makes the boundary
-    instances total.
-    """
-    if type(n) is not int or type(p) is not int or not n >= p >= 3:
-        raise DomainError(f"recurrence needs int n >= p >= 3, got n={n!r}, p={p!r}")
-    whole, left, right = _recurrence_terms(n, p, family)
-    return whole == left + right
-
-
-def _recurrence_terms(n: int, p: int, family: Family) -> tuple[int, int, int]:
-    """F(n;p), F(n-1;p-1) and F(n-1;p), the last 0 when p exceeds n-1."""
-    return (
-        _f_height_or_zero(family, n, p),
-        _f_height_or_zero(family, n - 1, p - 1),
-        _f_height_or_zero(family, n - 1, p),
-    )
-
-
 def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:
     """Extend an order-preserving member of the (n-1)-chain by one pair
     touching n, raising its height by one.
@@ -240,11 +204,15 @@ def phi_bijection_report(n: int, p: int) -> dict[str, bool]:
     }
 
 
-def formula_count_table(statistic: str, family: Family, max_n: int) -> CountTable:
-    """Count table computed from the closed forms only.
+def formula_count_table(
+    statistic: str, family: Family, max_n: int
+) -> tuple[tuple[int, ...], ...]:
+    """Triangle of counts F(n; k), n = 0..max_n, from the closed forms only:
+    ``rows[n][k]`` counts the elements whose ``statistic`` equals k.
 
-    The constructor re-checks that every row sums to the family order, so
-    building this table exercises the row-sum identities as a side effect.
+    Every row must sum to the family order, so building the table checks
+    the row-sum identities as a side effect; a row that misses its order
+    raises :class:`DomainError`.
     """
     closed = CLOSED_FORMS.get(statistic) if isinstance(statistic, str) else None
     if closed is None:
@@ -253,5 +221,7 @@ def formula_count_table(statistic: str, family: Family, max_n: int) -> CountTabl
     rows = tuple(
         tuple(closed(family, n, k) for k in range(n + 1)) for n in range(max_n + 1)
     )
-    sums = tuple(family_order(family, n) for n in range(max_n + 1))
-    return CountTable(statistic, family, rows, sums)
+    for n, row in enumerate(rows):
+        if sum(row) != family_order(family, n):
+            raise DomainError(f"row {n} does not sum to its declared order")
+    return rows

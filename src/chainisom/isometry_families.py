@@ -42,7 +42,6 @@ hi < 2x <= n + lo.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
 from itertools import combinations, permutations
@@ -253,55 +252,16 @@ def count_by(
     return counts
 
 
-class CountTable(namedtuple("CountTable", "statistic family rows row_sums")):
-    """Triangle of counts F(n; k) for n = 0..max_n plus row sums.
-
-    ``statistic`` is a key of :data:`STATISTICS`; ``rows[n][k]`` counts the
-    elements with that statistic equal to k.  A table equals only another
-    table.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, statistic: str, family: Family, rows, row_sums):
-        _statistic(statistic)
-        _check_family(family)
-        if not rows:
-            raise DomainError("a count table needs at least the row n = 0")
-        if len(rows) != len(row_sums):
-            raise DomainError("rows and row_sums must align")
-        for n, row in enumerate(rows):
-            # exact type: a float or bool count would render as a number
-            # the table does not hold
-            if (
-                len(row) != n + 1
-                or any(type(v) is not int or v < 0 for v in row)
-                or type(row_sums[n]) is not int
-            ):
-                raise DomainError(f"row {n} is malformed")
-            if sum(row) != row_sums[n]:
-                raise DomainError(f"row {n} does not sum to its declared order")
-        return super().__new__(cls, statistic, family, rows, row_sums)
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-
 def empirical_count_table(
     statistic: str,
     family: Family,
     max_n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> CountTable:
-    """Count table obtained by counting the maps with :func:`count_by` (no
-    closed forms involved).  The arguments are checked, and ``cap`` bounds
-    ``max_n``, before any row is counted."""
+) -> tuple[tuple[int, ...], ...]:
+    """Triangle of counts F(n; k), n = 0..max_n, obtained by counting the
+    maps with :func:`count_by` (no closed forms involved): ``rows[n][k]``
+    counts the elements whose ``statistic`` equals k.  The arguments are
+    checked, and ``cap`` bounds ``max_n``, before any row is counted."""
     _statistic(statistic)
     _check_request(max_n, family, None, cap)
-    rows = tuple(tuple(count_by(statistic, n, family, cap)) for n in range(max_n + 1))
-    return CountTable(statistic, family, rows, tuple(sum(r) for r in rows))
+    return tuple(tuple(count_by(statistic, n, family, cap)) for n in range(max_n + 1))

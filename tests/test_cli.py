@@ -597,6 +597,77 @@ class TestSumIdentityCatchesAWrongTerm:
         assert witness["lhs"] == witness["rhs"] + 2
 
 
+class TestSumIdentityReadsTheClosedFormsMap:
+    """sum-identity must sum the height count read from CLOSED_FORMS, as
+    formulas and recurrence read it, so a replaced entry reaches all three
+    checks."""
+
+    @pytest.fixture
+    def patched(self, monkeypatch):
+        real = closed_forms.CLOSED_FORMS["height"]
+
+        def fake(family, n, p):
+            # F(5; 3) for odp, one too high
+            return real(family, n, p) + ((family, n, p) == (Family.ODP, 5, 3))
+
+        monkeypatch.setitem(closed_forms.CLOSED_FORMS, "height", fake)
+
+    def test_verify_exits_1_with_the_patched_sum(self, patched, capsys):
+        code, out = run(capsys, "verify", "--check", "sum-identity", "--n-range", "5..5")
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL"
+        assert out.count("FAIL n=") == 1
+        witness = _first_fail_witness(out)
+        rhs = 3 * 2**5 - 25 - 10 - 3
+        assert witness == {"n": 5, "lhs": sum(ODP_BY_HEIGHT[5][2:]) + 1, "rhs": rhs}
+        assert witness["lhs"] == witness["rhs"] + 1
+
+
+class TestFormulaTableRefusesAMissedOrder:
+    """A formula row that does not sum to the family order is refused, in
+    the library and through ``table``, before anything is printed."""
+
+    @pytest.fixture
+    def off_by_one(self, monkeypatch):
+        real = closed_forms.CLOSED_FORMS["fix"]
+
+        def fake(family, n, m):
+            # F(3; 1) for dp, one too high
+            return real(family, n, m) + ((family, n, m) == (Family.DP, 3, 1))
+
+        monkeypatch.setitem(closed_forms.CLOSED_FORMS, "fix", fake)
+
+    def test_library_names_the_row(self, off_by_one):
+        message = "^row 3 does not sum to its declared order$"
+        with pytest.raises(DomainError, match=message):
+            closed_forms.formula_count_table("fix", Family.DP, 3)
+        rows = closed_forms.formula_count_table("fix", Family.DP, 2)
+        assert [list(r) for r in rows] == DP_BY_FIX[:3]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_table_exits_2_with_nothing_on_stdout(self, off_by_one, capsys, fmt):
+        assert main(["table", "--family", "dp", "--by", "fix", "--max-n", "3",
+                     "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: row 3 does not sum to its declared order\n"
+
+
+class TestClosedFormChecksAreCapped:
+    """recurrence and sum-identity refuse the first n above the closed-form
+    cap, before anything is printed, however long the range."""
+
+    @pytest.mark.parametrize("check, n_range", [
+        ("recurrence", "0..3000"),
+        ("sum-identity", "0..100000000"),
+    ])
+    def test_refused_with_exit_2(self, capsys, check, n_range):
+        assert main(["verify", "--check", check, "--n-range", n_range]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: check {check!r} is capped at n=60, got 61\n"
+
+
 class TestPhiBijectionCatchesACollision:
     """phi-bijection must fail when two inputs share an image, with the
     report as its witness."""

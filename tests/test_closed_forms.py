@@ -19,11 +19,10 @@ from chainisom import (
     order_odp,
     phi_bijection,
     phi_bijection_report,
-    recurrence_check,
-    verify_sum_identity,
 )
-from chainisom import PartialInjection, closed_forms
-from chainisom.closed_forms import CLOSED_FORMS
+from chainisom import ChainIsomError, LimitExceeded, PartialInjection, closed_forms
+from chainisom.checks import run_check
+from chainisom.closed_forms import CLOSED_FORM_CAP, CLOSED_FORMS
 from chainisom.isometry_families import STATISTICS
 from helpers import phi_reference
 
@@ -216,9 +215,6 @@ class TestOrders:
         # unchecked, each would raise a bare TypeError from a comparison,
         # range() or a list size
         for fn, args in (
-            (verify_sum_identity, (2.0,)),
-            (verify_sum_identity, ("3",)),
-            (recurrence_check, ("5", 3, Family.DP)),
             (phi_bijection_report, ("5", 3)),
             (build_rees_quotient, ("4", 2)),
             (empirical_count_table, ("height", Family.DP, 2.0)),
@@ -246,9 +242,9 @@ class TestGoldenTables:
     def test_formula_tables_reproduce_reference_rows(self):
         for (stat, fam), rows in GOLDEN.items():
             tbl = formula_count_table(stat, fam, 7)
-            assert [list(r) for r in tbl.rows] == rows
+            assert [list(r) for r in tbl] == rows
             expected_sums = ODP_ORDERS if fam is Family.ODP else DP_ORDERS
-            assert list(tbl.row_sums) == expected_sums
+            assert [sum(r) for r in tbl] == expected_sums
 
     def test_formulas_match_enumeration_up_to_10(self):
         # count_by builds no element, so its rows are cheap to 16; the
@@ -270,9 +266,18 @@ class TestGoldenTables:
         assert list(CLOSED_FORMS) == list(STATISTICS)
 
 
+def _passes(check, lo, hi):
+    """Whether every instance of ``check`` over lo..hi passes, and how many
+    there are."""
+    instances = run_check(check, lo, hi)
+    return all(inst["pass"] for inst in instances), len(instances)
+
+
 class TestSumIdentity:
     def test_smallest_case(self):
-        assert verify_sum_identity(2)  # single term: 1 == 12 - 4 - 4 - 3
+        # single term: F_odp(2;2) = 1 == 12 - 4 - 4 - 3
+        assert f_height_odp(2, 2) == 1 == 3 * 2**2 - 4 - 4 - 3
+        assert run_check("sum-identity", 2, 2) == [{"params": {"n": 2}, "pass": True}]
 
     def test_mid_case_value(self):
         # both sides equal 318 at n = 7
@@ -280,34 +285,51 @@ class TestSumIdentity:
 
         lhs = sum((2 * 7 - p + 1) * comb(7, p) // (p + 1) for p in range(2, 8))
         assert lhs == 318 == 3 * 128 - 49 - 14 - 3
-        assert verify_sum_identity(7)
+        assert sum(f_height_odp(7, p) for p in range(2, 8)) == 318
+        assert run_check("sum-identity", 7, 7) == [{"params": {"n": 7}, "pass": True}]
 
     def test_range_2_to_30(self):
-        assert all(verify_sum_identity(n) for n in range(2, 31))
+        assert _passes("sum-identity", 2, 30) == (True, 29)
 
     def test_below_range_rejected(self):
-        with pytest.raises(DomainError):
-            verify_sum_identity(1)
+        with pytest.raises(ChainIsomError, match="needs n >= 2"):
+            run_check("sum-identity", 0, 1)
+
+    def test_capped_at_60(self):
+        assert CLOSED_FORM_CAP == 60
+        assert _passes("sum-identity", 60, 60) == (True, 1)
+        with pytest.raises(LimitExceeded, match="capped at n=60, got 61"):
+            run_check("sum-identity", 61, 61)
 
 
 class TestRecurrence:
     def test_reference_instances(self):
-        assert recurrence_check(7, 3, Family.ODP)  # 105 == 50 + 55
+        assert f_height_odp(7, 3) == 105 == 50 + 55
         assert f_height_odp(6, 2) == 55 and f_height_odp(6, 3) == 50
-        assert recurrence_check(7, 3, Family.DP)  # 210 == 100 + 110
-        assert recurrence_check(5, 5, Family.ODP)  # boundary: F(4;5) taken as 0
+        assert f_height_dp(7, 3) == 210 == 100 + 110
+        assert f_height_dp(6, 2) == 110 and f_height_dp(6, 3) == 100
+        assert _passes("recurrence", 7, 7) == (True, 2)
+
+    def test_boundary_takes_the_term_past_the_row_as_zero(self):
+        # n = p = 5: F(5;5) == F(4;4) + 0, where F(4;5) lies past row 4;
+        # the closed form itself refuses p > n, so a check that asked for
+        # F(4;5) would raise instead of passing
+        assert f_height_odp(5, 5) == f_height_odp(4, 4) == 1
+        with pytest.raises(DomainError):
+            f_height_odp(4, 5)
+        assert _passes("recurrence", 5, 5) == (True, 2)
 
     def test_full_range(self):
-        for n in range(3, 31):
-            for p in range(3, n + 1):
-                for fam in BOTH:
-                    assert recurrence_check(n, p, fam)
+        assert _passes("recurrence", 3, 30) == (True, 2 * 28)
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            recurrence_check(4, 2, Family.ODP)
-        with pytest.raises(DomainError):
-            recurrence_check(2, 3, Family.ODP)
+        with pytest.raises(ChainIsomError, match="needs n >= 3"):
+            run_check("recurrence", 0, 2)
+
+    def test_capped_at_60(self):
+        assert _passes("recurrence", 60, 60) == (True, 2)
+        with pytest.raises(LimitExceeded, match="capped at n=60, got 61"):
+            run_check("recurrence", 61, 61)
 
 
 class TestPhiBijection:
