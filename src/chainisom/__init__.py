@@ -20,15 +20,10 @@ from .chain_maps import (
 )
 from .closed_forms import (
     f_fix,
-    f_fix_dp,
-    f_fix_odp,
     f_height,
-    f_height_dp,
     f_height_odp,
     family_order,
     formula_count_table,
-    order_dp,
-    order_odp,
     phi_bijection,
     phi_bijection_report,
 )

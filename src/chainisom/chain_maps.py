@@ -211,8 +211,13 @@ def is_order_preserving(a: PartialInjection) -> bool:
 # sorted by domain point.  Text: matrix notation "(2 3 / 2 1)", with the
 # empty map written "( / )".
 
+def pairs_to_json(n: int, pairs) -> dict:
+    """The JSON form of the n-chain map with these (x, y) pairs; builds no value."""
+    return {"n": n, "map": [[x, y] for x, y in pairs]}
+
+
 def to_json(a: PartialInjection) -> dict:
-    return {"n": a.n, "map": [[x, y] for x, y in a.pairs]}
+    return pairs_to_json(a.n, a.pairs)
 
 
 def from_json(obj: dict) -> PartialInjection:

@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import zip_longest
 from operator import eq, gt, lt
 
-from .chain_maps import compose, inverse, to_json
+from .chain_maps import compose, inverse, pairs_to_json, to_json
 from .closed_forms import CLOSED_FORM_CAP, CLOSED_FORMS, phi_bijection_report
 from .errors import ChainIsomError, DomainError, LimitExceeded
 from .greens_structure import (
@@ -53,7 +53,7 @@ FAMILIES = (Family.DP, Family.ODP)
 def _first_failing_dp_map(n, ok):
     """Scan dp on the n-chain for the first map failing ``ok(domain,
     image)``, reading ``(domain, image)`` off the enumeration walk: no value
-    is built, and the witness holds that map as :func:`to_json` writes it."""
+    is built."""
     bad = next(
         (
             (dom, img)
@@ -63,9 +63,7 @@ def _first_failing_dp_map(n, ok):
         ),
         None,
     )
-    witness = None if bad is None else {
-        "element": {"n": n, "map": [[x, y] for x, y in zip(*bad)]}
-    }
+    witness = None if bad is None else {"element": pairs_to_json(n, zip(*bad))}
     yield {"n": n, "family": Family.DP.value}, bad is None, witness
 
 
@@ -253,9 +251,8 @@ def _greens_disagreement(elements, index, count, classes, oracle):
             for block in classes
         )
     except KeyError as missing:
-        # written as to_json writes a map; every element has the one n
-        outside = {"n": elements[0].n, "map": [[x, y] for x, y in missing.args[0]]}
-        return {"not_in_table": outside}
+        # every element has the one n
+        return {"not_in_table": pairs_to_json(elements[0].n, missing.args[0])}
 
     def write(block):
         return [_indexed_member(elements, x) for x in block]

@@ -13,7 +13,7 @@ import sys
 import time
 from operator import getitem
 
-from .chain_maps import from_json, to_text
+from .chain_maps import from_json, pairs_to_json, to_text
 from .checks import CHECKS, run_check
 from .closed_forms import CLOSED_FORM_CAP, formula_count_table
 from .errors import ChainIsomError
@@ -233,8 +233,7 @@ def cmd_greens(args) -> int:
         write(head[:-2] + ',\n  "classes": [')  # head[:-2] drops its "\n}"
         between = "\n"
         for block in classes:
-            # each map as to_json writes it
-            maps = [{"n": n, "map": [[x, y] for x, y in zip(dom, img)]} for dom, img in block]
+            maps = [pairs_to_json(n, zip(dom, img)) for dom, img in block]
             write(between + "    " + _dumps(maps, indent=2).replace("\n", "\n    "))
             between = ",\n"
         # every family holds the empty map, so there is at least one class

@@ -8,7 +8,8 @@ Divisions are checked to be exact and raise ``ArithmeticError``
 otherwise, which would indicate a broken formula rather than bad input.
 
 F(n; k) denotes the number of family elements on the chain of size n whose
-statistic (height or fix count) equals k.
+statistic (height or fix count) equals k.  Each statistic is one function
+of (family, n, k), as is the order: f_height, f_fix and family_order.
 """
 
 from __future__ import annotations
@@ -59,48 +60,37 @@ def f_height_odp(n: int, p: int) -> int:
     return _exact_div((2 * n - p + 1) * comb(n, p), p + 1)
 
 
-def f_height_dp(n: int, p: int) -> int:
-    """All-isometries count by height: twice the order-preserving count for
-    p >= 2; n^2 at p = 1; 1 at p = 0.
+def f_height(family: Family, n: int, p: int) -> int:
+    """Count by height: :func:`f_height_odp`, doubled for dp at p >= 2.
 
-    The doubling reflects that every height >= 2 element is either a
-    translation or a reflection restriction, never both.
+    At height >= 2 every dp member is a translation or a reflection, never
+    both, and a domain carries as many of one kind as of the other.
     """
-    _check_range(n, p, "height count")
-    if p == 0:
-        return 1
-    if p == 1:
-        return n * n
-    return _exact_div(2 * (2 * n - p + 1) * comb(n, p), p + 1)
+    _check_family(family)
+    count = f_height_odp(n, p)
+    return 2 * count if family is Family.DP and p >= 2 else count
 
 
-def f_fix_odp(n: int, m: int) -> int:
-    """Order-preserving count by fix: C(n,m) for m >= 1, else 2^(n+1)-(2n+1).
+def f_fix(family: Family, n: int, m: int) -> int:
+    """Count by fix; dp's m <= 1 branches split on the parity of n.
 
-    Any order-preserving member with a fixed point is a partial identity,
-    so for m >= 1 the count is just the choice of the fixed set.
-    """
-    _check_range(n, m, "fix count")
-    if m >= 1:
-        return comb(n, m)
-    return 2 ** (n + 1) - (2 * n + 1)
-
-
-def f_fix_dp(n: int, m: int) -> int:
-    """All-isometries count by fix; the m <= 1 branches split on parity of n.
-
-    m >= 2 forces a partial identity, giving C(n,m).  For m = 1 the element
-    is a reflection about its one fixed point i, so the count follows from
-    how many centres 2i fit inside the chain:
+    A member with m >= 2 fixed points is a partial identity, and so is an
+    odp member with one, so those counts are the choice of the fixed set,
+    C(n,m).  The odp members with none number 2^(n+1) - (2n+1).  A dp
+    member with one fixed point i is a reflection about i, so its count
+    follows from how many centres 2i fit inside the chain:
 
         m = 1, n even:  2 * (2^n - 1) / 3
         m = 1, n odd:   2 * (2^(n-1) - 1) / 3 + 2^(n-1)
         m = 0, n even:  (13 * 2^n - (3n^2 + 9n + 10)) / 3
         m = 0, n odd:   (25 * 2^(n-1) - (3n^2 + 9n + 10)) / 3
     """
+    _check_family(family)
     _check_range(n, m, "fix count")
-    if m >= 2:
+    if m >= 2 or (m == 1 and family is Family.ODP):
         return comb(n, m)
+    if family is Family.ODP:
+        return 2 ** (n + 1) - (2 * n + 1)
     if m == 1:
         if n % 2 == 0:
             return _exact_div(2 * (2**n - 1), 3)
@@ -110,41 +100,19 @@ def f_fix_dp(n: int, m: int) -> int:
     return _exact_div(25 * 2 ** (n - 1) - (3 * n * n + 9 * n + 10), 3)
 
 
-def order_odp(n: int) -> int:
-    """3 * 2^n - 2(n+1)."""
-    _check_chain_size(n)
-    return 3 * 2**n - 2 * (n + 1)
-
-
-def order_dp(n: int) -> int:
-    """3 * 2^(n+1) - (n+2)^2 - 1."""
-    _check_chain_size(n)
-    return 3 * 2 ** (n + 1) - (n + 2) ** 2 - 1
-
-
-def _by_family(family: Family, dp, odp):
-    if family is Family.DP:
-        return dp
-    if family is Family.ODP:
-        return odp
-    _check_family(family)  # family is not a Family here, so this raises
-
-
-def f_height(family: Family, n: int, p: int) -> int:
-    return _by_family(family, f_height_dp, f_height_odp)(n, p)
-
-
-def f_fix(family: Family, n: int, m: int) -> int:
-    return _by_family(family, f_fix_dp, f_fix_odp)(n, m)
-
-
 # The closed form of each count-table statistic, F(family, n, k), under
 # the statistic's name in isometry_families.STATISTICS.
 CLOSED_FORMS = {"height": f_height, "fix": f_fix}
 
 
 def family_order(family: Family, n: int) -> int:
-    return _by_family(family, order_dp, order_odp)(n)
+    """The family's order: 3 * 2^(n+1) - (n+2)^2 - 1 for dp, and
+    3 * 2^n - 2(n+1) for odp."""
+    _check_family(family)
+    _check_chain_size(n)
+    if family is Family.DP:
+        return 3 * 2 ** (n + 1) - (n + 2) ** 2 - 1
+    return 3 * 2**n - 2 * (n + 1)
 
 
 def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:
@@ -163,6 +131,9 @@ def phi_bijection(a: PartialInjection, n: int) -> PartialInjection:
     Restricted to inputs of height p-1 this is a bijection onto the height-p
     members of the n-chain whose domain or image contains n.
     """
+    # exact type, before the arithmetic, as in phi_bijection_report
+    if type(n) is not int:
+        raise DomainError(f"need int n, got n={n!r}")
     if a.n != n - 1:
         raise DomainError(f"input must live on the chain of size {n - 1}, got {a.n}")
     if a.is_empty:

@@ -31,7 +31,7 @@ from helpers import (
     is_order_reversing,
     table,
 )
-from test_closed_forms import DP_BY_FIX, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
+from test_closed_forms import DP_BY_FIX, DP_BY_HEIGHT, DP_ORDERS, ODP_BY_HEIGHT, ODP_ORDERS
 
 
 def run(capsys, *argv):
@@ -492,7 +492,7 @@ class TestFormulasCatchesAWrongBranch:
         real = closed_forms.CLOSED_FORMS["fix"]
 
         def fake(family, n, m):
-            # f_fix_dp's m = 1 branch, one too high
+            # dp's m = 1 branch of f_fix, one too high
             return real(family, n, m) + (family is Family.DP and m == 1)
 
         monkeypatch.setitem(closed_forms.CLOSED_FORMS, "fix", fake)
@@ -513,7 +513,9 @@ class TestFormulasCatchesAWrongBranch:
 
 class TestRecurrenceCatchesAWrongTerm:
     """recurrence must fail when one closed-form count is off by one, with
-    n, p and the three terms as its witness."""
+    n, p and the three terms as its witness.  dp's height count is odp's
+    doubled at p >= 2, so an odp term one too high puts dp's two too high,
+    and both families fail."""
 
     @pytest.fixture
     def off_by_one(self, monkeypatch):
@@ -529,16 +531,21 @@ class TestRecurrenceCatchesAWrongTerm:
         code, out = run(capsys, "verify", "--check", "recurrence", "--n-range", "5..5")
         assert code == 1
         assert out.splitlines()[-1] == "FAIL"
-        assert out.count("FAIL n=") == 1
-        assert "FAIL n=5 family=odp witness=" in out
-        witness = _first_fail_witness(out)
-        assert (witness["n"], witness["p"]) == (5, 3)
-        whole, left, right = (witness[k] for k in ("F(n;p)", "F(n-1;p-1)", "F(n-1;p)"))
+        fails = [line for line in out.splitlines() if line.startswith("FAIL n=")]
+        assert [line.split(" witness=")[0] for line in fails] == [
+            "FAIL n=5 family=dp", "FAIL n=5 family=odp",
+        ]
+        # dp: 42 = 2 * 21 against 28 + 12; odp: 21 against 14 + 6
         f = closed_forms.f_height
-        assert (whole, left, right) == (f(Family.ODP, 5, 3), f(Family.ODP, 4, 2),
-                                        f(Family.ODP, 4, 3))
-        assert whole == ODP_BY_HEIGHT[5][3] + 1
-        assert whole == left + right + 1
+        for line, fam, golden, off in zip(
+            fails, (Family.DP, Family.ODP), (DP_BY_HEIGHT, ODP_BY_HEIGHT), (2, 1)
+        ):
+            witness = json.loads(line.split(" witness=", 1)[1])
+            assert (witness["n"], witness["p"]) == (5, 3)
+            whole, left, right = (witness[k] for k in ("F(n;p)", "F(n-1;p-1)", "F(n-1;p)"))
+            assert (whole, left, right) == (f(fam, 5, 3), f(fam, 4, 2), f(fam, 4, 3))
+            assert whole == golden[5][3] + off
+            assert whole == left + right + off
 
 
 class TestRecurrenceReadsTheClosedFormsMap:

@@ -1,3 +1,6 @@
+from functools import partial
+from math import comb
+
 import pytest
 
 from chainisom import (
@@ -8,15 +11,10 @@ from chainisom import (
     empirical_count_table,
     enumerate_fast,
     f_fix,
-    f_fix_dp,
-    f_fix_odp,
     f_height,
-    f_height_dp,
     f_height_odp,
     family_order,
     formula_count_table,
-    order_dp,
-    order_odp,
     phi_bijection,
     phi_bijection_report,
 )
@@ -85,22 +83,25 @@ NON_INT_ARGS = [(2.5, 1), (4.0, 1), (4, 1.0), (True, 1), (4, True), (4, False)]
 
 class TestHeightFormulas:
     def test_odp_values(self):
-        assert f_height_odp(7, 3) == 105
-        assert f_height_odp(5, 2) == 30 == (5 * 4 * 9) // 6
+        assert f_height_odp(7, 3) == f_height(Family.ODP, 7, 3) == 105
+        assert f_height(Family.ODP, 5, 2) == 30 == (5 * 4 * 9) // 6
         for n in range(1, 20):
-            assert f_height_odp(n, n) == 1
+            assert f_height(Family.ODP, n, n) == 1
             if n >= 1:
-                assert f_height_odp(n, 1) == n * n
+                assert f_height(Family.ODP, n, 1) == n * n
 
     def test_dp_values(self):
-        assert f_height_dp(7, 3) == 210
-        assert f_height_dp(4, 2) == 28 == (4 * 3 * 7) // 3
-        assert f_height_dp(3, 3) == 2
+        assert f_height(Family.DP, 7, 3) == 210
+        assert f_height(Family.DP, 4, 2) == 28 == (4 * 3 * 7) // 3
+        assert f_height(Family.DP, 3, 3) == 2
         for n in range(2, 20):
-            assert f_height_dp(n, n) == 2
+            assert f_height(Family.DP, n, n) == 2
 
     def test_domain_errors(self):
-        for fn in (f_height_odp, f_height_dp, f_fix_odp, f_fix_dp):
+        counts = [f_height_odp] + [
+            partial(f, fam) for f in (f_height, f_fix) for fam in BOTH
+        ]
+        for fn in counts:
             with pytest.raises(DomainError):
                 fn(3, 4)
             with pytest.raises(DomainError):
@@ -115,10 +116,8 @@ class TestHeightFormulas:
             f_height("dp", 5, 2)
 
     def test_f_height_dp_non_int_rejected(self):
-        # 2.5 gave the float 6.25 (through f_height too), True gave 1
+        # 2.5 gave the float 6.25, True gave 1
         for n, p in NON_INT_ARGS:
-            with pytest.raises(DomainError):
-                f_height_dp(n, p)
             with pytest.raises(DomainError):
                 f_height(Family.DP, n, p)
 
@@ -132,22 +131,23 @@ class TestHeightFormulas:
 
     def test_dp_doubles_odp_above_height_one(self):
         for n in range(61):
-            for p in range(2, n + 1):
-                assert f_height_dp(n, p) == 2 * f_height_odp(n, p)
+            for p in range(n + 1):
+                odp = f_height(Family.ODP, n, p)
+                assert f_height(Family.DP, n, p) == (2 * odp if p >= 2 else odp)
 
 
 class TestFixFormulas:
     def test_odp_values(self):
-        assert f_fix_odp(7, 0) == 241
-        assert f_fix_odp(5, 3) == 10
+        assert f_fix(Family.ODP, 7, 0) == 241
+        assert f_fix(Family.ODP, 5, 3) == 10
         for n in range(20):
             if n >= 1:
-                assert f_fix_odp(n, n) == 1
+                assert f_fix(Family.ODP, n, n) == 1
 
     def test_dp_values(self):
-        assert f_fix_dp(7, 1) == 106
-        assert f_fix_dp(4, 0) == 38
-        assert f_fix_dp(6, 1) == 42
+        assert f_fix(Family.DP, 7, 1) == 106
+        assert f_fix(Family.DP, 4, 0) == 38
+        assert f_fix(Family.DP, 6, 1) == 42
 
     def test_non_family_rejected(self):
         # the string "dp" would otherwise get odp's count, 23 where dp has 38
@@ -159,15 +159,11 @@ class TestFixFormulas:
         # 2.5 raised ArithmeticError, as if a formula were broken
         for n, m in NON_INT_ARGS:
             with pytest.raises(DomainError):
-                f_fix_dp(n, m)
-            with pytest.raises(DomainError):
                 f_fix(Family.DP, n, m)
 
     def test_f_fix_odp_non_int_rejected(self):
         # a float m raised a bare TypeError from comb
         for n, m in NON_INT_ARGS:
-            with pytest.raises(DomainError):
-                f_fix_odp(n, m)
             with pytest.raises(DomainError):
                 f_fix(Family.ODP, n, m)
 
@@ -175,41 +171,35 @@ class TestFixFormulas:
         # every branch with a denominator must divide exactly
         for n in range(61):
             for p in range(1, n + 1):
-                assert (2 * n - p + 1) * _comb(n, p) % (p + 1) == 0
-            f_fix_dp(n, 0)
+                assert (2 * n - p + 1) * comb(n, p) % (p + 1) == 0
+            f_fix(Family.DP, n, 0)
             if n >= 1:
-                f_fix_dp(n, 1)
-
-
-def _comb(n, k):
-    from math import comb
-
-    return comb(n, k)
+                f_fix(Family.DP, n, 1)
 
 
 class TestOrders:
     def test_reference_orders(self):
-        assert order_odp(7) == 368
-        assert order_dp(7) == 686
-        assert order_dp(0) == 1
-        assert order_odp(0) == 1
+        assert family_order(Family.ODP, 7) == 368
+        assert family_order(Family.DP, 7) == 686
+        assert family_order(Family.DP, 0) == 1
+        assert family_order(Family.ODP, 0) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
-            order_odp(-1)
+            family_order(Family.ODP, -1)
         with pytest.raises(DomainError):
-            order_dp(-2)
+            family_order(Family.DP, -2)
 
     def test_order_dp_non_int_rejected(self):
         # a float n would give the float 12.69 at 2.5
         for n in (2.5, 3.0, True, "3"):
             with pytest.raises(DomainError):
-                order_dp(n)
+                family_order(Family.DP, n)
 
     def test_order_odp_non_int_rejected(self):
         for n in (2.5, 3.0, True, "3"):
             with pytest.raises(DomainError):
-                order_odp(n)
+                family_order(Family.ODP, n)
 
     def test_non_int_arguments_rejected(self):
         # unchecked, each would raise a bare TypeError from a comparison,
@@ -232,10 +222,10 @@ class TestOrders:
 
     def test_row_sums_match_orders_up_to_60(self):
         for n in range(61):
-            assert sum(f_height_odp(n, p) for p in range(n + 1)) == order_odp(n)
-            assert sum(f_height_dp(n, p) for p in range(n + 1)) == order_dp(n)
-            assert sum(f_fix_odp(n, m) for m in range(n + 1)) == order_odp(n)
-            assert sum(f_fix_dp(n, m) for m in range(n + 1)) == order_dp(n)
+            for fam in BOTH:
+                order = family_order(fam, n)
+                assert sum(f_height(fam, n, p) for p in range(n + 1)) == order
+                assert sum(f_fix(fam, n, m) for m in range(n + 1)) == order
 
 
 class TestGoldenTables:
@@ -281,8 +271,6 @@ class TestSumIdentity:
 
     def test_mid_case_value(self):
         # both sides equal 318 at n = 7
-        from math import comb
-
         lhs = sum((2 * 7 - p + 1) * comb(7, p) // (p + 1) for p in range(2, 8))
         assert lhs == 318 == 3 * 128 - 49 - 14 - 3
         assert sum(f_height_odp(7, p) for p in range(2, 8)) == 318
@@ -306,8 +294,8 @@ class TestRecurrence:
     def test_reference_instances(self):
         assert f_height_odp(7, 3) == 105 == 50 + 55
         assert f_height_odp(6, 2) == 55 and f_height_odp(6, 3) == 50
-        assert f_height_dp(7, 3) == 210 == 100 + 110
-        assert f_height_dp(6, 2) == 110 and f_height_dp(6, 3) == 100
+        assert f_height(Family.DP, 7, 3) == 210 == 100 + 110
+        assert f_height(Family.DP, 6, 2) == 110 and f_height(Family.DP, 6, 3) == 100
         assert _passes("recurrence", 7, 7) == (True, 2)
 
     def test_boundary_takes_the_term_past_the_row_as_zero(self):
@@ -376,6 +364,14 @@ class TestPhiBijection:
         with pytest.raises(DomainError):
             # order-reversing input
             phi_bijection(PartialInjection(3, [(1, 2), (2, 1)]), 4)
+
+    def test_rejects_a_non_int_chain_size(self):
+        # "3" and None raised a bare TypeError from n - 1, and 3.0 raised
+        # OutOfRange from the constructor
+        a = PartialInjection(2, [(1, 1)])
+        for n in ("3", None, 3.0):
+            with pytest.raises(DomainError, match="need int n"):
+                phi_bijection(a, n)
 
     def test_bijection_in_claimed_range(self):
         for n in range(3, 9):

@@ -28,7 +28,7 @@ from chainisom import (
     replay_witness,
     to_json,
 )
-from chainisom import checks, cli, greens_structure, order_odp
+from chainisom import checks, cli, family_order, greens_structure
 from chainisom.greens_structure import RELATIONS, _partition_from_keys
 from helpers import (
     associative_exhaustive,
@@ -205,7 +205,7 @@ class TestCriterionPartitions:
             assert count(n, Family.DP, "D") == DP_D_COUNTS[n]
             assert count(n, Family.DP, "H") == DP_H_COUNTS[n]
             assert count(n, Family.ODP, "D") == (2 ** (n - 1) + 1 if n else 1)
-            assert count(n, Family.ODP, "H") == order_odp(n)
+            assert count(n, Family.ODP, "H") == family_order(Family.ODP, n)
 
     def test_unknown_relation(self):
         with pytest.raises(DomainError, match="unknown Green's relation 'J'"):
